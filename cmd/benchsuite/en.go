@@ -42,7 +42,7 @@ type enDoc struct {
 	Rows       []enRow `json:"rows"`
 }
 
-// enMaxRegression mirrors the PS/SC/DP gates: a matched row may lose up
+// enMaxRegression mirrors the PS/DP gates: a matched row may lose up
 // to this fraction of its baseline ensemble speedup before -compare-en
 // trips.
 const enMaxRegression = 0.15

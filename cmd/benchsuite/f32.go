@@ -148,3 +148,19 @@ func sameEdgeSet(a, b *tinge.Network) bool {
 	}
 	return true
 }
+
+// identicalNetwork reports whether two networks are bit-identical —
+// same edges in the same order with bitwise-equal MI weights. Unlike
+// sameEdgeSet the weights must match too.
+func identicalNetwork(a, b *tinge.Network) bool {
+	ae, be := a.Edges(), b.Edges()
+	if len(ae) != len(be) {
+		return false
+	}
+	for k := range ae {
+		if ae[k].I != be[k].I || ae[k].J != be[k].J || ae[k].Weight != be[k].Weight {
+			return false
+		}
+	}
+	return true
+}

@@ -22,9 +22,6 @@
 //	OOC out-of-core panel-store engine at its minimum memory budget vs
 //	    the resident host engine: end-to-end overhead, honored memory
 //	    ceiling, spill traffic (writes BENCH_ooc.json)
-//	SC  conservative pair prescreening on vs off: mi-phase speedup,
-//	    screened-out fraction, bit-identical network check (writes
-//	    BENCH_prescreen.json)
 //	DP  parallel tiled DPI filter: worker and memory-budget scaling on
 //	    a >=1e5-edge network, bit-identity vs the sequential reference
 //	    enforced (writes BENCH_dpi.json)
@@ -52,10 +49,9 @@
 // process exits non-zero if any matched row's sweep speedup regressed
 // by more than 15%. -compare-ooc FILE is the same gate for the OOC
 // experiment: a matched row fails if its out-of-core overhead ratio
-// grew by more than 25% over the baseline's. -compare-sc FILE gates the
-// SC experiment: a matched row fails if its prescreen speedup dropped
-// by more than 15%. -compare-dp FILE gates the DP experiment the same
-// way on the parallel-DPI speedup. -compare-en FILE gates the EN
+// grew by more than 25% over the baseline's. -compare-dp FILE gates the
+// DP experiment on the parallel-DPI speedup: a matched row fails if it
+// dropped by more than 15%. -compare-en FILE gates the EN
 // experiment on the ensemble-vs-naive speedup.
 //
 // Results are deterministic for a fixed -seed except for wall-clock
@@ -90,7 +86,6 @@ type suite struct {
 	quick      bool
 	compare    string
 	compareOOC string
-	compareSC  string
 	compareDP  string
 	compareEN  string
 }
@@ -99,19 +94,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchsuite: ")
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,PS,FS,OOC,SC,DP,FL,EN) or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,PS,FS,OOC,DP,FL,EN) or 'all'")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		quick      = flag.Bool("quick", false, "smaller sizes for a fast pass")
 		compare    = flag.String("compare", "", "baseline BENCH_permsweep*.json: after PS, fail if any matched row's speedup regressed >15%")
 		compareOOC = flag.String("compare-ooc", "", "baseline BENCH_ooc*.json: after OOC, fail if any matched row's overhead grew >25%")
-		compareSC  = flag.String("compare-sc", "", "baseline BENCH_prescreen*.json: after SC, fail if any matched row's speedup regressed >15%")
 		compareDP  = flag.String("compare-dp", "", "baseline BENCH_dpi*.json: after DP, fail if any matched row's speedup regressed >15%")
 		compareEN  = flag.String("compare-en", "", "baseline BENCH_ensemble*.json: after EN, fail if any matched row's speedup regressed >15%")
 	)
 	flag.Parse()
 
-	s := &suite{seed: *seed, quick: *quick, compare: *compare, compareOOC: *compareOOC, compareSC: *compareSC, compareDP: *compareDP, compareEN: *compareEN}
-	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "PS", "FS", "OOC", "SC", "DP", "FL", "EN"}
+	s := &suite{seed: *seed, quick: *quick, compare: *compare, compareOOC: *compareOOC, compareDP: *compareDP, compareEN: *compareEN}
+	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "PS", "FS", "OOC", "DP", "FL", "EN"}
 	var ids []string
 	if *expFlag == "all" {
 		ids = all
@@ -124,7 +118,7 @@ func main() {
 		"T1": s.t1, "T2": s.t2, "F1": s.f1, "F2": s.f2, "F3": s.f3,
 		"F4": s.f4, "F5": s.f5, "F6": s.f6, "F7": s.f7, "F8": s.f8,
 		"T3": s.t3, "A1": s.a1, "A2": s.a2, "F9": s.f9, "PS": s.ps,
-		"FS": s.fs, "OOC": s.ooc, "SC": s.sc, "DP": s.dp, "FL": s.fl,
+		"FS": s.fs, "OOC": s.ooc, "DP": s.dp, "FL": s.fl,
 		"EN": s.en,
 	}
 	for _, id := range ids {

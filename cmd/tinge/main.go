@@ -35,7 +35,6 @@ func main() {
 		alpha    = flag.Float64("alpha", 0.01, "significance level for the pooled-null threshold")
 		nullPair = flag.Int("null-pairs", 500, "pairs sampled for the pooled null")
 		dpi      = flag.Bool("dpi", false, "apply data-processing-inequality pruning")
-		prescrn  = flag.Bool("prescreen", false, "skip pairs whose conservative MI bound falls below the threshold (bit-identical network)")
 		dpiTol   = flag.Float64("dpi-tolerance", 0.1, "DPI near-tie tolerance (0 = strict: every triangle's weakest edge is pruned)")
 		cmi      = flag.Bool("cmi", false, "apply the conditional-MI successor filter after DPI")
 		cmiRatio = flag.Float64("cmi-ratio", 0.3, "CMI filter removal threshold: prune (i,j) when min_k I(i;j|k) < ratio*I(i;j)")
@@ -83,6 +82,9 @@ func main() {
 	if *in == "" {
 		flag.Usage()
 		log.Fatal("missing -in")
+	}
+	if *perms < 1 {
+		log.Fatalf("-permutations %d: need at least 1", *perms)
 	}
 	// The ooc engine on a plain TSV streams rows straight into the spill
 	// store — the expression matrix is never resident. Other formats (or
@@ -145,7 +147,6 @@ func main() {
 		DPITolerance:    *dpiTol,
 		CMIFilter:       *cmi,
 		CMIRatio:        *cmiRatio,
-		Prescreen:       *prescrn,
 		Workers:         *workers,
 		TileSize:        *tileSize,
 		Seed:            *seed,
@@ -222,6 +223,13 @@ func main() {
 		cfg.Policy = tinge.Stealing
 	default:
 		log.Fatalf("unknown policy %q", *policy)
+	}
+
+	// eff is cfg with every default resolved, for the run summary (the
+	// engines validate their own copy).
+	eff := cfg
+	if err := eff.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	var rec *tinge.TraceRecorder
@@ -304,33 +312,17 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tinge: MI evaluations=%d (+%d permutation), imbalance=%.3f\n",
 		res.PairsEvaluated, res.PermEvaluations, res.Imbalance)
 	if res.Ensemble != nil {
-		frac, cut := cfg.Ensemble.SubsampleFrac, cfg.Ensemble.SupportCutoff
-		if frac == 0 {
-			frac = tinge.DefaultSubsampleFrac
-		}
-		if cut == 0 {
-			cut = tinge.DefaultSupportCutoff
-		}
 		fmt.Fprintf(os.Stderr, "tinge: ensemble: %d bootstraps (subsample %g, eseed %d), %d distinct edges, consensus %d at support >= %g\n",
-			res.Ensemble.Bootstraps(), frac, cfg.Ensemble.Seed,
-			res.Ensemble.Len(), res.Network.Len(), cut)
+			res.Ensemble.Bootstraps(), eff.Ensemble.SubsampleFrac, eff.Ensemble.Seed,
+			res.Ensemble.Len(), res.Network.Len(), eff.Ensemble.SupportCutoff)
 		fmt.Fprintf(os.Stderr, "tinge: ensemble sharing: %d stencils reused, %d perm-cache hits\n",
 			res.EnsembleStencilsReused, res.PermCacheHits)
 	}
-	if *prescrn {
-		pairs := res.PairsEvaluated + res.PairsScreenedOut
-		frac := 0.0
-		if pairs > 0 {
-			frac = float64(res.PairsScreenedOut) / float64(pairs)
-		}
-		fmt.Fprintf(os.Stderr, "tinge: prescreen: %d of %d pairs skipped (%.1f%%), screen CPU %.3fs\n",
-			res.PairsScreenedOut, pairs, 100*frac, res.ScreenPhaseSeconds)
-	}
 	if *dpi {
-		fmt.Fprintf(os.Stderr, "tinge: dpi(tol=%g): removed %d edge(s)\n", cfg.DPITolerance, res.DPIEdgesRemoved)
+		fmt.Fprintf(os.Stderr, "tinge: dpi(tol=%g): removed %d edge(s)\n", eff.DPITolerance, res.DPIEdgesRemoved)
 	}
 	if *cmi {
-		fmt.Fprintf(os.Stderr, "tinge: cmi(ratio=%g): removed %d edge(s)\n", cfg.CMIRatio, res.CMIEdgesRemoved)
+		fmt.Fprintf(os.Stderr, "tinge: cmi(ratio=%g): removed %d edge(s)\n", eff.CMIRatio, res.CMIEdgesRemoved)
 	}
 	if res.FilterShardLoads > 0 {
 		fmt.Fprintf(os.Stderr, "tinge: filter adjacency: peak %d bytes (%d shard loads, %d hits, %d evictions, %d spilled)\n",
@@ -348,7 +340,7 @@ func main() {
 	}
 	if res.StorePeakBytes > 0 {
 		fmt.Fprintf(os.Stderr, "tinge: out-of-core: peak %d bytes of %d budget (%d panel loads, %d hits, %d evictions)\n",
-			res.PeakTileBytes, cfg.MemoryBudget, res.PanelLoads, res.PanelHits, res.PanelEvictions)
+			res.PeakTileBytes, eff.MemoryBudget, res.PanelLoads, res.PanelHits, res.PanelEvictions)
 	}
 	if res.Messages > 0 {
 		fmt.Fprintf(os.Stderr, "tinge: cluster traffic %d messages, %d bytes\n",

@@ -73,10 +73,10 @@ func (r *clusterRecorder) setThreshold(th float64, nullSize int) {
 }
 
 // tileDone commits one finished tile and persists opportunistically.
-// The pair/permutation split and the screened-out count live in the
-// checkpoint state so a resumed run reports the full-history counters
-// exactly (the resume test pins this).
-func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, screened, skipped int64, edges []grn.Edge) {
+// The pair/permutation split lives in the checkpoint state so a resumed
+// run reports the full-history counters exactly (the resume test pins
+// this).
+func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, skipped int64, edges []grn.Edge) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state.Done[ti] {
@@ -85,7 +85,6 @@ func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, screened, skipp
 	r.state.Done[ti] = true
 	r.state.EvalsPerTile[ti] = pairEvals + permEvals
 	r.state.PairEvalsPerTile[ti] = pairEvals
-	r.state.ScreenedPerTile[ti] = screened
 	r.skipped[ti] = skipped
 	r.state.Edges = append(r.state.Edges, edges...)
 	if r.path == "" {
@@ -189,7 +188,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		cacheHits, cacheMisses int64
 		busy                   float64
 		tileBytes              int64
-		screenNanos            int64
 	}
 
 	alive := cfg.Ranks
@@ -210,7 +208,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			// on the world size, so recovery cannot change it.
 			c.Phase("null-pool")
 			threshold, nullSize, thresholdDone := rec.threshold()
-			if !thresholdDone && cfg.Permutations > 0 {
+			if !thresholdDone {
 				count := cfg.NullSamplePairs
 				if max := tile.TotalPairs(n); count > max {
 					count = max
@@ -245,28 +243,14 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			busyStart := time.Now()
 			pc := k.newPermCache(cfg)
 			var edges []grn.Edge
-			var screenNanos int64
-			var mask []bool
 			for idx := c.Rank(); idx < len(pending); idx += c.Size() {
 				if err := c.Err(); err != nil {
 					return err
 				}
 				ti := pending[idx]
-				var tileScreened int64
-				if k.screen != nil {
-					screenStart := time.Now()
-					mask, tileScreened = k.screenTile(tiles[ti], ws, mask)
-					screenNanos += time.Since(screenStart).Nanoseconds()
-				}
 				var tilePairEvals, tilePermEvals, tileSkipped int64
 				var tileEdges []grn.Edge
-				pairIdx := 0
 				tiles[ti].ForEachPair(func(i, j int) {
-					if k.screen != nil && mask[pairIdx] {
-						pairIdx++
-						return
-					}
-					pairIdx++
 					obs, sig, ev, pe, sk := k.decide(i, j, ws, pc)
 					tilePairEvals += ev
 					tilePermEvals += pe
@@ -275,7 +259,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 						tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
 					}
 				})
-				rec.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileSkipped, tileEdges)
+				rec.tileDone(ti, tilePairEvals, tilePermEvals, tileSkipped, tileEdges)
 				edges = append(edges, tileEdges...)
 				m, b := c.Traffic()
 				rec.sampleTraffic(m, b)
@@ -301,7 +285,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 
 			o := &out[c.Rank()]
 			o.threshold = threshold
-			o.screenNanos = screenNanos
 			o.tileBytes = int64(ws.Bytes())
 			if pc != nil {
 				o.cacheHits = pc.Hits()
@@ -362,7 +345,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 	res.Timer.Add("threshold+mi(cluster)", scanSpan)
 
 	busy := make([]float64, len(out))
-	var screenNanos int64
 	for r := range out {
 		res.PermCacheHits += out[r].cacheHits
 		res.PermCacheMisses += out[r].cacheMisses
@@ -370,12 +352,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			res.PeakTileBytes = out[r].tileBytes
 		}
 		busy[r] = out[r].busy
-		screenNanos += out[r].screenNanos
-	}
-	if cfg.Prescreen {
-		d := time.Duration(screenNanos)
-		res.ScreenPhaseSeconds = d.Seconds()
-		res.Timer.Add("screen", d)
 	}
 	res.Imbalance = tile.Imbalance(busy)
 	// Full-history sums from the committed tile log: the split arrays
@@ -384,7 +360,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 	for ti := range state.EvalsPerTile {
 		res.PairsEvaluated += state.PairEvalsPerTile[ti]
 		res.PermEvaluations += state.EvalsPerTile[ti] - state.PairEvalsPerTile[ti]
-		res.PairsScreenedOut += state.ScreenedPerTile[ti]
 		res.PermutationsSkipped += rec.skipped[ti]
 	}
 	res.Messages, res.TrafficBytes = rec.traffic()

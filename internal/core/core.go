@@ -276,14 +276,6 @@ type Config struct {
 	// bit-identical networks for equal seeds; the flag exists for
 	// before/after benchmarking and equivalence testing.
 	LegacyPermutation bool
-	// Prescreen enables the conservative-bound pair prescreening pass:
-	// before a tile's exact scan, every pair gets a cheap MI upper
-	// bound (coarse-histogram grouping bound with a rank-correlation
-	// fast path), and pairs whose bound falls below I_alpha skip the
-	// exact kernel and all q permutations. The bound is provably
-	// conservative, so the emitted network is bit-identical to a
-	// non-prescreened run — only the work (and wall time) changes.
-	Prescreen bool
 	// Progress, when non-nil, is invoked after every completed pair
 	// tile with (tilesDone, tilesTotal). It is called concurrently from
 	// worker goroutines and must be safe for concurrent use; keep it
@@ -582,23 +574,13 @@ type Result struct {
 	// Threshold is the pooled-null I_alpha actually used.
 	Threshold float64
 	// PairsEvaluated counts exact-kernel MI computations of observed
-	// pairs — one per pair that was not screened out. Permutation
-	// evaluations are counted separately in PermEvaluations (the two
-	// were conflated before the prescreening work made the distinction
-	// measurable).
+	// pairs — one per scanned pair. Permutation evaluations are counted
+	// separately in PermEvaluations.
 	PairsEvaluated int64
 	// PermEvaluations counts permuted-MI kernel evaluations actually
 	// computed during phase 4 (the per-pair permutation checks; the
 	// pooled-null phase is not included).
 	PermEvaluations int64
-	// PairsScreenedOut counts pairs the prescreening bound removed
-	// before the exact kernel (0 with Prescreen off).
-	PairsScreenedOut int64
-	// ScreenPhaseSeconds is the CPU time the workers spent in the
-	// prescreening pass, summed across workers. It is nested inside the
-	// "mi" timer phase (which stays inclusive wall time), not additive
-	// with it.
-	ScreenPhaseSeconds float64
 	// NullSize is the pooled null distribution size.
 	NullSize int
 	// Timer breaks down host wall time by phase.

@@ -17,7 +17,7 @@ import (
 )
 
 // scanKit is the resident ensemble loop's shared scan apparatus: one
-// kernel (estimator + permutation pool + optional prescreener) and one
+// kernel (estimator + permutation pool) and one
 // workspace and permuted-row cache per worker, built once for the
 // first bootstrap and rebound — never reallocated — for every
 // subsequent one. The permutation pool never rebinds at all: the
@@ -59,9 +59,6 @@ func (kit *scanKit) rebind(wm *bspline.WeightMatrix) {
 		if pc != nil {
 			pc.Rebind(kit.k.est)
 		}
-	}
-	if kit.k.screen != nil {
-		kit.k.screen.Reset(kit.k.est)
 	}
 }
 
@@ -109,7 +106,6 @@ func (l *ensembleLedger) restore(res *Result, ens *grn.Ensemble, next int) {
 	for b := 0; b < next; b++ {
 		res.PairsEvaluated += l.state.PairEvalsPerTile[b]
 		res.PermEvaluations += l.state.EvalsPerTile[b] - l.state.PairEvalsPerTile[b]
-		res.PairsScreenedOut += l.state.ScreenedPerTile[b]
 	}
 	copy(res.EnsembleThresholds, l.state.EnsembleThresholds[:next])
 	if next > 0 {
@@ -125,7 +121,6 @@ func (l *ensembleLedger) bootstrapDone(b int, bres *Result, ens *grn.Ensemble) e
 	s.Done[b] = true
 	s.EvalsPerTile[b] = bres.PairsEvaluated + bres.PermEvaluations
 	s.PairEvalsPerTile[b] = bres.PairsEvaluated
-	s.ScreenedPerTile[b] = bres.PairsScreenedOut
 	s.EnsembleThresholds[b] = bres.Threshold
 	s.EnsembleEdges = ens.Edges()
 	return checkpoint.SaveFileFS(l.fsys, l.path, s)
@@ -144,8 +139,6 @@ func foldBootstrapResult(res, bres *Result) {
 	res.NullSize = bres.NullSize
 	res.PairsEvaluated += bres.PairsEvaluated
 	res.PermEvaluations += bres.PermEvaluations
-	res.PairsScreenedOut += bres.PairsScreenedOut
-	res.ScreenPhaseSeconds += bres.ScreenPhaseSeconds
 	res.PermutationsSkipped += bres.PermutationsSkipped
 	res.PermCacheHits += bres.PermCacheHits
 	res.PermCacheMisses += bres.PermCacheMisses

@@ -32,15 +32,14 @@ type ckptManager struct {
 
 // tileDone records a completed tile and persists opportunistically.
 // EvalsPerTile keeps the combined exact+permutation count (the Phi time
-// model's quantity); the split and the screened-out count are persisted
-// alongside so a resumed run can still report them.
-func (m *ckptManager) tileDone(ti int, pairEvals, permEvals, screened int64, edges []grn.Edge) {
+// model's quantity); the split is persisted alongside so a resumed run
+// can still report it.
+func (m *ckptManager) tileDone(ti int, pairEvals, permEvals int64, edges []grn.Edge) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.state.Done[ti] = true
 	m.state.EvalsPerTile[ti] = pairEvals + permEvals
 	m.state.PairEvalsPerTile[ti] = pairEvals
-	m.state.ScreenedPerTile[ti] = screened
 	m.state.Edges = append(m.state.Edges, edges...)
 	m.sinceSave++
 	if m.sinceSave >= m.every {
@@ -110,7 +109,6 @@ func fingerprintDims(genes, samples int, cfg Config) checkpoint.Fingerprint {
 		Alpha:           cfg.Alpha,
 		Seed:            cfg.Seed,
 		Precision:       uint8(cfg.Precision),
-		Prescreen:       cfg.Prescreen,
 		Bootstraps:      cfg.Ensemble.Bootstraps,
 		SubsampleFrac:   cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:    cfg.Ensemble.Seed,
@@ -163,10 +161,6 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 		res.NullSize = ck.state.NullSize
 	} else {
 		res.Timer.Time("threshold", func() {
-			if cfg.Permutations == 0 {
-				res.Threshold = 0
-				return
-			}
 			count := cfg.NullSamplePairs
 			if max := tile.TotalPairs(n); count > max {
 				count = max
@@ -234,9 +228,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 	busy := make([]float64, cfg.Workers)
 	tileBytes := make([]int64, cfg.Workers)
 	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalScreened int64
-	var totalSkipped int64
-	var totalScreenNanos int64
+	var totalEvals, totalPermEvals, totalSkipped int64
 	var cacheHits, cacheMisses int64
 	var tilesDone int64
 	res.Timer.Time("mi", func() {
@@ -262,43 +254,20 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 				}
 				start := time.Now()
 				var local []grn.Edge
-				var evals, permEvals, screened, skipped int64
-				var screenNanos int64
-				var mask []bool
+				var evals, permEvals, skipped int64
 				for {
 					pi := sched.Next(w)
 					if pi == -1 || ctx.Err() != nil {
 						break
 					}
 					ti := pending[pi]
-					var tileScreened int64
-					if k.screen != nil {
-						// Prescreening pass: bound the whole tile before any
-						// exact evaluation.
-						var endScreen func()
-						if cfg.Trace != nil {
-							endScreen = cfg.Trace.Span(w, fmt.Sprintf("screen-%d %s", ti, tiles[ti]))
-						}
-						screenStart := time.Now()
-						mask, tileScreened = k.screenTile(tiles[ti], ws, mask)
-						screenNanos += time.Since(screenStart).Nanoseconds()
-						if endScreen != nil {
-							endScreen()
-						}
-					}
 					var endSpan func()
 					if cfg.Trace != nil {
 						endSpan = cfg.Trace.Span(w, fmt.Sprintf("tile-%d %s", ti, tiles[ti]))
 					}
 					var tilePairEvals, tilePermEvals int64
 					var tileEdges []grn.Edge
-					idx := 0
 					tiles[ti].ForEachPair(func(i, j int) {
-						if k.screen != nil && mask[idx] {
-							idx++
-							return
-						}
-						idx++
 						obs, sig, ev, pe, sk := k.decide(i, j, ws, pc)
 						tilePairEvals += ev
 						tilePermEvals += pe
@@ -311,9 +280,8 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 					atomic.AddInt64(&evalsPerTile[ti], tileEvals)
 					evals += tilePairEvals
 					permEvals += tilePermEvals
-					screened += tileScreened
 					if ck != nil {
-						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileEdges)
+						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileEdges)
 					} else {
 						local = append(local, tileEdges...)
 					}
@@ -322,13 +290,9 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 					}
 					if cfg.Trace != nil {
 						// Per-worker amortization counter tracks: cumulative
-						// permutations skipped by early exit, pairs screened
-						// out, and permuted-row cache hits, sampled at every
-						// tile boundary.
+						// permutations skipped by early exit and permuted-row
+						// cache hits, sampled at every tile boundary.
 						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
-						if k.screen != nil {
-							cfg.Trace.Counter(w, "pairs_screened", float64(screened))
-						}
 						if pc != nil {
 							cfg.Trace.Counter(w, "permcache_hits", float64(pc.Hits()))
 						}
@@ -341,9 +305,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 				edgesPerWorker[w] = local
 				atomic.AddInt64(&totalEvals, evals)
 				atomic.AddInt64(&totalPermEvals, permEvals)
-				atomic.AddInt64(&totalScreened, screened)
 				atomic.AddInt64(&totalSkipped, skipped)
-				atomic.AddInt64(&totalScreenNanos, screenNanos)
 				if pc != nil {
 					atomic.AddInt64(&cacheHits, pc.Hits()-hits0)
 					atomic.AddInt64(&cacheMisses, pc.Misses()-misses0)
@@ -363,15 +325,9 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 	}
 	res.PairsEvaluated = totalEvals
 	res.PermEvaluations = totalPermEvals
-	res.PairsScreenedOut = totalScreened
 	res.PermutationsSkipped = totalSkipped
 	res.PermCacheHits = cacheHits
 	res.PermCacheMisses = cacheMisses
-	if k.screen != nil {
-		d := time.Duration(totalScreenNanos)
-		res.ScreenPhaseSeconds = d.Seconds()
-		res.Timer.Add("screen", d)
-	}
 	res.Imbalance = tile.Imbalance(busy)
 	for _, b := range tileBytes {
 		if b > res.PeakTileBytes {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/bspline"
 	"repro/internal/mi"
 	"repro/internal/perm"
@@ -10,75 +8,42 @@ import (
 )
 
 // pairKernel bundles the estimator, permutation pool, and kernel choice
-// shared by all engines. Aside from the screen-disarm counters it is
-// immutable and safe for concurrent use with per-goroutine workspaces
-// (and per-goroutine permutation caches).
+// shared by all engines. It is immutable and safe for concurrent use
+// with per-goroutine workspaces (and per-goroutine permutation caches).
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
 	kind   KernelKind
 	prec   Precision
-	legacy bool // per-permutation seed path instead of the batched sweep
-	// screen is the conservative-bound prescreener, nil unless
-	// Config.Prescreen is set. Like est it is immutable and shared
-	// across workers.
-	screen *mi.Screener
+	legacy bool    // per-permutation seed path instead of the batched sweep
 	thresh float64 // I_alpha; 0 during the threshold-estimation phase
-	// Adaptive disarm: when the first screenProbeBudget bound probes
-	// produce zero skips, the threshold is in the regime the bound
-	// cannot reach (see the mi package doc) and screenTile stops paying
-	// for bounds. The network is bit-identical either way — screening
-	// only ever drops pairs the exact kernel would reject — but in the
-	// razor-edge case where the budget is exhausted just before the
-	// first screenable tile, PairsScreenedOut can vary with worker
-	// scheduling. Correctness never does.
-	screenProbes atomic.Int64
-	screenHits   atomic.Int64
-	screenOff    atomic.Bool
 }
 
-// screenProbeBudget is the calibration allowance for adaptive disarm:
-// how many pairs may be bounded with zero skips before the kernel
-// concludes the screen is powerless for this run's threshold and stops
-// bounding. It caps the worst-case prescreen overhead at a few
-// thousand coarse bounds (sub-millisecond) per kernel.
-const screenProbeBudget = 4096
-
 func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
-	k := &pairKernel{
+	return &pairKernel{
 		est:    mi.NewEstimatorParallel(wm, cfg.Workers),
 		pool:   perm.MustNewPool(cfg.Seed, wm.Samples, cfg.Permutations),
 		kind:   cfg.Kernel,
 		prec:   cfg.Precision,
 		legacy: cfg.LegacyPermutation,
 	}
-	if cfg.Prescreen {
-		k.screen = mi.NewScreener(k.est, cfg.Precision)
-	}
-	return k
 }
 
 // newWorkspace allocates per-goroutine scratch for the configured
 // precision — the float32 path's workspace carries a float32 joint
-// accumulator (half the bytes), the float64 path a float64 one. When
-// prescreening is on, the screen's coarse-joint scratch is allocated
-// eagerly so Workspace.Bytes is final at construction.
+// accumulator (half the bytes), the float64 path a float64 one.
 func (k *pairKernel) newWorkspace() *mi.Workspace {
-	ws := mi.NewWorkspacePrec(k.est, k.prec)
-	if k.screen != nil {
-		k.screen.EnsureScratch(ws)
-	}
-	return ws
+	return mi.NewWorkspacePrec(k.est, k.prec)
 }
 
 // newPermCache builds the worker-local permuted-row cache for the sweep
 // path. It returns nil when the cache cannot pay off: on the legacy
-// path, with no permutations, or for the vectorized kernel (whose sweep
-// amortizes the dense-row resolution instead of offset rows). Capacity
-// is one tile's worth of column genes — a tile touches at most TileSize
-// distinct j genes, so entries live exactly as long as they are useful.
+// path, or for the vectorized kernel (whose sweep amortizes the
+// dense-row resolution instead of offset rows). Capacity is one tile's
+// worth of column genes — a tile touches at most TileSize distinct j
+// genes, so entries live exactly as long as they are useful.
 func (k *pairKernel) newPermCache(cfg Config) *mi.PermCache {
-	if k.legacy || k.pool.Q() == 0 || k.kind == KernelVec {
+	if k.legacy || k.kind == KernelVec {
 		return nil
 	}
 	return mi.NewPermCache(k.est, k.pool.Perms(), cfg.TileSize)
@@ -157,9 +122,6 @@ func (k *pairKernel) decide(i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs f
 		return obs, false, evals, 0, 0
 	}
 	q := k.pool.Q()
-	if q == 0 {
-		return obs, true, evals, 0, 0
-	}
 	if k.legacy {
 		for p := 0; p < q; p++ {
 			permEvals++
@@ -196,33 +158,6 @@ func (k *pairKernel) decide(i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs f
 		}
 	}
 	return obs, significant, evals, int64(done), int64(q - done)
-}
-
-// screenTile runs the prescreening pass over one tile: mask[p] is true
-// when pair p (in ForEachPair order) can skip the exact kernel and its
-// permutation sweep. It returns the extended mask and the number of
-// pairs screened out. The caller owns mask's backing array so the hot
-// loop allocates only on the first (largest) tile.
-func (k *pairKernel) screenTile(t tile.Tile, ws *mi.Workspace, mask []bool) ([]bool, int64) {
-	mask = mask[:0]
-	if k.screenOff.Load() {
-		t.ForEachPair(func(i, j int) { mask = append(mask, false) })
-		return mask, 0
-	}
-	var screened int64
-	t.ForEachPair(func(i, j int) {
-		skip := k.screen.ShouldSkip(i, j, k.thresh, ws)
-		if skip {
-			screened++
-		}
-		mask = append(mask, skip)
-	})
-	if screened > 0 {
-		k.screenHits.Add(screened)
-	} else if k.screenProbes.Add(int64(len(mask))) >= screenProbeBudget && k.screenHits.Load() == 0 {
-		k.screenOff.Store(true)
-	}
-	return mask, screened
 }
 
 // sampleNullPairs deterministically selects count distinct pairs (i<j)

@@ -111,13 +111,6 @@ func newOOCWorker(basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int
 	if idx != nil {
 		w.fullBuf = make([]float32, samples)
 	}
-	if cfg.Prescreen {
-		// Reserve the screener arena for a full tile's gene capacity and
-		// the workspace's coarse-joint scratch now, so bytes() is final
-		// before the budget check.
-		w.pk.screen = mi.NewScreenerCap(est, cfg.Precision, 2*cfg.TileSize)
-		w.pk.screen.EnsureScratch(w.ws)
-	}
 	w.pc = w.pk.newPermCache(cfg)
 	return w
 }
@@ -129,9 +122,6 @@ func (w *oocWorker) bytes(basis *bspline.Basis, cfg Config) int64 {
 	b += int64(w.ws.Bytes())
 	if w.pc != nil {
 		b += int64(w.pc.Bytes())
-	}
-	if w.pk.screen != nil {
-		b += int64(w.pk.screen.Bytes())
 	}
 	b += int64(len(w.normBuf)) * 4
 	b += int64(len(w.fullBuf)) * 4
@@ -170,9 +160,6 @@ func (w *oocWorker) rebind() {
 	w.ws.InvalidateRowKeys()
 	if w.pc != nil {
 		w.pc.Rebind(w.pk.est)
-	}
-	if w.pk.screen != nil {
-		w.pk.screen.Reset(w.pk.est)
 	}
 }
 
@@ -357,10 +344,6 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 		res.NullSize = ck.state.NullSize
 	} else {
 		res.Timer.Time("threshold", func() {
-			if cfg.Permutations == 0 {
-				res.Threshold = 0
-				return
-			}
 			count := cfg.NullSamplePairs
 			if max := tile.TotalPairs(n); count > max {
 				count = max
@@ -423,8 +406,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 	evalsPerTile := make([]int64, len(tiles))
 	busy := make([]float64, cfg.Workers)
 	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalScreened, totalSkipped int64
-	var totalScreenNanos int64
+	var totalEvals, totalPermEvals, totalSkipped int64
 	var cacheHits, cacheMisses int64
 	var tilesDone int64
 	res.Timer.Time("mi", func() {
@@ -441,9 +423,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 				}
 				start := time.Now()
 				var local []grn.Edge
-				var evals, permEvals, screened, skipped int64
-				var screenNanos int64
-				var mask []bool
+				var evals, permEvals, skipped int64
 				for {
 					pi := sched.Next(w)
 					if pi == -1 || ctx.Err() != nil {
@@ -460,25 +440,9 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 						fail(err)
 						break
 					}
-					var tileScreened int64
-					if wk.pk.screen != nil {
-						// Screen per pinned panel pair: the bound runs on the
-						// same tile-local weights the exact kernel would use,
-						// so the budget accounting is untouched.
-						localTile := tile.Tile{I0: 0, I1: t.I1 - t.I0, J0: jBase, J1: jBase + t.J1 - t.J0}
-						screenStart := time.Now()
-						mask, tileScreened = wk.pk.screenTile(localTile, wk.ws, mask)
-						screenNanos += time.Since(screenStart).Nanoseconds()
-					}
 					var tilePairEvals, tilePermEvals int64
 					var tileEdges []grn.Edge
-					idx := 0
 					t.ForEachPair(func(i, j int) {
-						if wk.pk.screen != nil && mask[idx] {
-							idx++
-							return
-						}
-						idx++
 						obs, sig, ev, pe, sk := wk.pk.decide(i-t.I0, j-t.J0+jBase, wk.ws, wk.pc)
 						tilePairEvals += ev
 						tilePermEvals += pe
@@ -491,9 +455,8 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 					atomic.AddInt64(&evalsPerTile[ti], tileEvals)
 					evals += tilePairEvals
 					permEvals += tilePermEvals
-					screened += tileScreened
 					if ck != nil {
-						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileEdges)
+						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileEdges)
 					} else {
 						local = append(local, tileEdges...)
 					}
@@ -502,9 +465,6 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 					}
 					if cfg.Trace != nil {
 						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
-						if wk.pk.screen != nil {
-							cfg.Trace.Counter(w, "pairs_screened", float64(screened))
-						}
 						if wk.pc != nil {
 							cfg.Trace.Counter(w, "permcache_hits", float64(wk.pc.Hits()))
 						}
@@ -517,9 +477,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 				edgesPerWorker[w] = local
 				atomic.AddInt64(&totalEvals, evals)
 				atomic.AddInt64(&totalPermEvals, permEvals)
-				atomic.AddInt64(&totalScreened, screened)
 				atomic.AddInt64(&totalSkipped, skipped)
-				atomic.AddInt64(&totalScreenNanos, screenNanos)
 				if wk.pc != nil {
 					atomic.AddInt64(&cacheHits, wk.pc.Hits()-hits0)
 					atomic.AddInt64(&cacheMisses, wk.pc.Misses()-misses0)
@@ -541,15 +499,9 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 	}
 	res.PairsEvaluated = totalEvals
 	res.PermEvaluations = totalPermEvals
-	res.PairsScreenedOut = totalScreened
 	res.PermutationsSkipped = totalSkipped
 	res.PermCacheHits = cacheHits
 	res.PermCacheMisses = cacheMisses
-	if cfg.Prescreen {
-		d := time.Duration(totalScreenNanos)
-		res.ScreenPhaseSeconds = d.Seconds()
-		res.Timer.Add("screen", d)
-	}
 	res.Imbalance = tile.Imbalance(busy)
 
 	net := grn.New(n)

@@ -219,6 +219,26 @@ func TestFleetWorkerKillMidScan(t *testing.T) {
 	}
 }
 
+// TestFleetSubmitRejectsBadParams: the coordinator shares the server's
+// parameter surface, so a removed option or an impossible permutation
+// count is a 400 there too — never a silently different scan.
+func TestFleetSubmitRejectsBadParams(t *testing.T) {
+	body := fleetBody(t, 24, 16, 4)
+	c, _ := newFleet(t, 1)
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	for _, params := range []string{"prescreen=1", "permutations=0"} {
+		resp, err := http.Post(ts.URL+"/jobs?"+params, "text/tab-separated-values", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", params, resp.StatusCode)
+		}
+	}
+}
+
 // TestFleetCacheDedupe submits 10 identical scans concurrently over
 // HTTP and requires at least 9 to collapse onto the single-flight /
 // cache path, all returning the identical network.
@@ -517,7 +537,7 @@ func TestFleetLedgerResume(t *testing.T) {
 		Order: cfg.Order, Bins: cfg.Bins,
 		Permutations: cfg.Permutations, NullSamplePairs: cfg.NullSamplePairs,
 		TileSize: cfg.TileSize, Alpha: cfg.Alpha, Seed: cfg.Seed,
-		Precision: uint8(cfg.Precision), Prescreen: cfg.Prescreen,
+		Precision: uint8(cfg.Precision),
 	}, chunks)
 	st.Threshold = part.Threshold
 	st.NullSize = part.NullSize

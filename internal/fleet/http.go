@@ -254,7 +254,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		Edges:                make([][3]float64, 0, res.Network.Len()),
 		PairsEvaluated:       res.PairsEvaluated,
 		PermEvaluations:      res.PermEvaluations,
-		PairsScreenedOut:     res.PairsScreenedOut,
 		PermutationsSkipped:  res.PermutationsSkipped,
 		PermCacheHits:        res.PermCacheHits,
 		PermCacheMisses:      res.PermCacheMisses,

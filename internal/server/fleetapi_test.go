@@ -182,7 +182,7 @@ func TestConfigParamsRoundTrip(t *testing.T) {
 		base,
 		{"permutations": {"30"}, "dpi": {"1"}},
 		{"permutations": {"8"}, "tile": {"4"}, "seed": {"11"}, "dpi": {"1"}, "dpitolerance": {"0"}},
-		{"precision": {"float32"}, "prescreen": {"1"}, "alpha": {"1e-4"}},
+		{"precision": {"float32"}, "alpha": {"1e-4"}},
 		{"order": {"5"}, "bins": {"14"}, "nullpairs": {"5000"}, "cmi": {"1"}, "cmiratio": {"0.7"}},
 		{"tilestart": {"3"}, "tilecount": {"5"}, "tile": {"8"}},
 		{"kernel": {"scalar"}, "seed": {"99"}},
@@ -205,6 +205,43 @@ func TestConfigParamsRoundTrip(t *testing.T) {
 		}
 		if a, b := JobKey(body, cfg), JobKey(body, cfg2); a != b {
 			t.Fatalf("case %d: round-trip changed the content address:\n  %+v\n  %+v", i, cfg, cfg2)
+		}
+	}
+}
+
+// TestJobKeyGolden pins JobKey for fixed (body, config) pairs to the
+// hex keys earlier releases computed. Keys name server checkpoint files
+// and the coordinator's cache and ledger entries, so a changed key
+// would orphan every scan persisted under the old one.
+func TestJobKeyGolden(t *testing.T) {
+	body := []byte("gene\ts1\ts2\ts3\ts4\ts5\nG0\t1\t2\t3\t4\t5\nG1\t5\t3\t4\t1\t2\nG2\t2\t2\t1\t5\t3\n")
+	plain := core.Config{Order: 3, Bins: 10, Permutations: 30, NullSamplePairs: 500, TileSize: 32,
+		Alpha: 0.01, Seed: 3, Engine: core.Host, DPI: true, DPITolerance: 0.1, Kernel: core.KernelBucketed}
+	f32 := plain
+	f32.Precision = core.Float32
+	cmi := plain
+	cmi.CMIFilter, cmi.CMIRatio = true, 0.5
+	chunk := plain
+	chunk.ChunkStart, chunk.ChunkTiles = 4, 8
+	ens := plain
+	ens.Ensemble = core.EnsembleConfig{Bootstraps: 6, SubsampleFrac: 0.8, Seed: 3, SupportCutoff: 0.5}
+	ensRange := ens
+	ensRange.Ensemble.Start, ensRange.Ensemble.Count = 2, 1
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"zero", core.Config{}, "75048fb50b0470db"},
+		{"plain", plain, "bdfb7325be37d5f3"},
+		{"float32", f32, "48d7a93b30344591"},
+		{"dpi+cmi", cmi, "3b37c7db35f66959"},
+		{"chunk", chunk, "2f7de39e2553c814"},
+		{"ensemble", ens, "5bdd8a539e2c6145"},
+		{"ensemble-range", ensRange, "1f2db1cf60ce2ce0"},
+	} {
+		if got := JobKey(body, c.cfg); got != c.want {
+			t.Errorf("%s: JobKey = %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -163,7 +163,7 @@ type Server struct {
 	// Pre-registered instruments (hot-path safe: no registry lookups).
 	mSubmitted, mRejected, mEvicted  *metrics.Counter
 	mPairs, mSkipped, mHits, mMisses *metrics.Counter
-	mPermEvals, mScreened            *metrics.Counter
+	mPermEvals                       *metrics.Counter
 	mRankFailures, mRecoveryRuns     *metrics.Counter
 	mRecoveredTiles                  *metrics.Counter
 	mCkptCorrupt, mSpillRetries      *metrics.Counter
@@ -221,7 +221,6 @@ func (s *Server) init() {
 		}
 		s.mPairs = r.Counter("tinge_pairs_evaluated_total", "MI kernel evaluations including permutations.", nil)
 		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Permutation MI evaluations actually computed.", nil)
-		s.mScreened = r.Counter("tinge_pairs_screened_out_total", "Pairs skipped by the conservative prescreening bound.", nil)
 		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit.", nil)
 		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits.", nil)
 		s.mMisses = r.Counter("tinge_permcache_misses_total", "Permuted-row cache misses.", nil)
@@ -364,6 +363,11 @@ func ParseConfigValues(q url.Values) (core.Config, error) {
 			return cfg, err
 		}
 	}
+	// An explicit count below 1 is refused rather than left to
+	// Config.Validate, which would quietly run the default 30.
+	if q.Get("permutations") != "" && cfg.Permutations < 1 {
+		return cfg, fmt.Errorf("bad permutations: %d, want at least 1", cfg.Permutations)
+	}
 	if v := q.Get("memorybudget"); v != "" {
 		b, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -412,8 +416,8 @@ func ParseConfigValues(q url.Values) (core.Config, error) {
 	if v := q.Get("cmi"); v == "1" || v == "true" {
 		cfg.CMIFilter = true
 	}
-	if v := q.Get("prescreen"); v == "1" || v == "true" {
-		cfg.Prescreen = true
+	if q.Has("prescreen") {
+		return cfg, fmt.Errorf("prescreen was removed: the pair prescreen never skipped a pair against permutation-calibrated thresholds")
 	}
 	switch v := q.Get("engine"); v {
 	case "", "host":
@@ -484,9 +488,6 @@ func ConfigParams(cfg core.Config) url.Values {
 	if cfg.Kernel != core.KernelBucketed {
 		q.Set("kernel", cfg.Kernel.String())
 	}
-	if cfg.Prescreen {
-		q.Set("prescreen", "1")
-	}
 	if cfg.DPI {
 		q.Set("dpi", "1")
 	}
@@ -525,10 +526,13 @@ func ConfigParams(cfg core.Config) url.Values {
 func JobKey(body []byte, cfg core.Config) string {
 	h := sha256.New()
 	h.Write(body)
-	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|%v|%v|%v|%v",
+	// The literal false fills the slot of the removed prescreen option:
+	// keys are checkpoint file stems and fleet cache/ledger keys, so they
+	// must stay byte-identical to the ones earlier releases computed.
+	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|false|%v|%v|%v",
 		cfg.Order, cfg.Bins, cfg.Permutations, cfg.NullSamplePairs,
 		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, cfg.Kernel,
-		cfg.Precision, cfg.Prescreen, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
+		cfg.Precision, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
 	if cfg.ChunkTiles > 0 {
 		fmt.Fprintf(h, "|chunk %d+%d", cfg.ChunkStart, cfg.ChunkTiles)
 	}
@@ -699,7 +703,6 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 		// splits them.
 		s.mPairs.Add(float64(res.PairsEvaluated + res.PermEvaluations))
 		s.mPermEvals.Add(float64(res.PermEvaluations))
-		s.mScreened.Add(float64(res.PairsScreenedOut))
 		s.mSkipped.Add(float64(res.PermutationsSkipped))
 		s.mHits.Add(float64(res.PermCacheHits))
 		s.mMisses.Add(float64(res.PermCacheMisses))
@@ -734,8 +737,7 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 	}
 	if res != nil {
 		attrs = append(attrs, "edges", res.Network.Len(), "threshold", res.Threshold,
-			"evals", res.PairsEvaluated, "perm_evals", res.PermEvaluations,
-			"screened_out", res.PairsScreenedOut)
+			"evals", res.PairsEvaluated, "perm_evals", res.PermEvaluations)
 	}
 	s.Logger.Info("job finished", attrs...)
 }
@@ -854,7 +856,6 @@ type statusResponse struct {
 	Threshold  float64  `json:"threshold,omitempty"`
 	Evals      int64    `json:"evaluations,omitempty"`
 	PermEvals  int64    `json:"permEvaluations,omitempty"`
-	Screened   int64    `json:"pairsScreenedOut,omitempty"`
 	DPIRemoved int      `json:"dpiEdgesRemoved,omitempty"`
 	CMIRemoved int      `json:"cmiEdgesRemoved,omitempty"`
 	SimSecs    float64  `json:"simSeconds,omitempty"`
@@ -881,7 +882,6 @@ func (j *job) status() statusResponse {
 		resp.Threshold = j.result.Threshold
 		resp.Evals = j.result.PairsEvaluated
 		resp.PermEvals = j.result.PermEvaluations
-		resp.Screened = j.result.PairsScreenedOut
 		resp.DPIRemoved = j.result.DPIEdgesRemoved
 		resp.CMIRemoved = j.result.CMIEdgesRemoved
 		resp.SimSecs = j.result.SimSeconds
@@ -1014,7 +1014,6 @@ type ResultResponse struct {
 	Edges                [][3]float64 `json:"edges"`
 	PairsEvaluated       int64        `json:"pairsEvaluated"`
 	PermEvaluations      int64        `json:"permEvaluations"`
-	PairsScreenedOut     int64        `json:"pairsScreenedOut"`
 	PermutationsSkipped  int64        `json:"permutationsSkipped"`
 	PermCacheHits        int64        `json:"permCacheHits"`
 	PermCacheMisses      int64        `json:"permCacheMisses"`
@@ -1055,7 +1054,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Edges:                make([][3]float64, 0, res.Network.Len()),
 		PairsEvaluated:       res.PairsEvaluated,
 		PermEvaluations:      res.PermEvaluations,
-		PairsScreenedOut:     res.PairsScreenedOut,
 		PermutationsSkipped:  res.PermutationsSkipped,
 		PermCacheHits:        res.PermCacheHits,
 		PermCacheMisses:      res.PermCacheMisses,

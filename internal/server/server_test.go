@@ -187,24 +187,35 @@ func TestUnknownJob404(t *testing.T) {
 func TestBadSubmissions(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
+	valid := "gene\tE0\tE1\tE2\tE3\nG0\t1\t2\t3\t4\nG1\t4\t2\t3\t1\n"
 	cases := []struct {
 		params string
 		body   string
+		want   string // substring of the error body; "" skips the check
 	}{
-		{"", "not a tsv"},
-		{"permutations=abc", "gene\tE0\nG0\t1\n"},
-		{"alpha=zzz", "gene\tE0\nG0\t1\n"},
-		{"engine=quantum", "gene\tE0\nG0\t1\n"},
-		{"seed=-1", "gene\tE0\nG0\t1\n"},
+		{"", "not a tsv", ""},
+		{"permutations=abc", "gene\tE0\nG0\t1\n", ""},
+		{"alpha=zzz", "gene\tE0\nG0\t1\n", ""},
+		{"engine=quantum", "gene\tE0\nG0\t1\n", ""},
+		{"seed=-1", "gene\tE0\nG0\t1\n", ""},
+		// Removed or impossible settings are refused, never dropped.
+		{"prescreen=1", valid, "removed"},
+		{"prescreen=0", valid, "removed"},
+		{"permutations=0", valid, "at least 1"},
+		{"permutations=-3", valid, "at least 1"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs?"+c.params, "text/plain", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("params %q: status %d, want 400", c.params, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), c.want) {
+			t.Fatalf("params %q: error %q does not mention %q", c.params, msg, c.want)
 		}
 	}
 }
@@ -484,6 +495,11 @@ func TestShutdownDrainsRunningJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	id := startJob(t, ts, tsvBody(t, 30, 60), "permutations=5&seed=1")
+	// Shutdown cancels jobs that are still queued; wait until this one
+	// holds the run slot so the drain path is what gets tested.
+	for getStatus(t, ts, id).State == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
