@@ -28,7 +28,7 @@ func main() {
 		in       = flag.String("in", "", "input expression file (required)")
 		format   = flag.String("format", "tsv", "input format: tsv|soft (NCBI GEO SOFT family file)")
 		out      = flag.String("out", "", "output edge TSV (default stdout)")
-		engine   = flag.String("engine", "host", "execution engine: host|phi|cluster|hybrid")
+		engine   = flag.String("engine", "host", "execution engine: host|phi|cluster|hybrid|ooc")
 		order    = flag.Int("order", 3, "B-spline order k")
 		bins     = flag.Int("bins", 10, "histogram bins b")
 		perms    = flag.Int("permutations", 30, "permutation-test count q")

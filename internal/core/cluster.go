@@ -4,15 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bspline"
-	"repro/internal/checkpoint"
-	"repro/internal/diskfault"
-	"repro/internal/grn"
 	"repro/internal/mpi"
-	"repro/internal/perm"
 	"repro/internal/tile"
 )
 
@@ -21,31 +16,21 @@ import (
 // error path (which must abort the world, not deadlock it).
 var corruptGatherForTest func(rank int, flat []float64) []float64
 
-// clusterRecorder is the shared tile-commit log behind the cluster
-// engine's fault tolerance — the in-process stand-in for the shared
-// filesystem TINGe deployments checkpoint to between work blocks. Ranks
-// commit each finished tile (bitmap bit, edges, eval counts) under one
-// mutex; when a world aborts, committed tiles survive and only the
-// in-flight remainder is redistributed to the surviving ranks. With a
-// CheckpointPath it also persists the state every `every` commits, so
-// a killed process resumes the same way a killed rank does.
+// clusterRecorder is the cluster engine's view of the shared tile log —
+// the in-process stand-in for the shared filesystem TINGe deployments
+// checkpoint to between work blocks. Ranks commit finished tiles to the
+// log; when a world aborts, committed tiles survive and only the
+// in-flight remainder is redistributed to the surviving ranks. On top
+// of the log it keeps the first-wins threshold commit and the traffic
+// high-water marks, under the log's mutex.
 type clusterRecorder struct {
-	mu    sync.Mutex
-	state *checkpoint.State
-	// skipped is the per-tile early-exit skip count (in-memory only —
-	// observability, not resume state).
-	skipped []int64
+	*tileLog
 
 	thresholdDone bool
-
-	fsys      diskfault.FS
-	path      string
-	every     int
-	sinceSave int
-	saveErr   error
+	thresholdAt   time.Time // when this run committed the threshold
 
 	// Traffic high-water marks: the world's counters are global and
-	// monotone per attempt; ranks sample them at commit points, and
+	// monotone per attempt; ranks sample them at phase boundaries, and
 	// foldAttempt accumulates the attempt's peak into the run total so
 	// failed attempts' communication is still accounted.
 	msgsCur, bytesCur     int64
@@ -70,50 +55,11 @@ func (r *clusterRecorder) setThreshold(th float64, nullSize int) {
 	r.state.Threshold = th
 	r.state.NullSize = nullSize
 	r.thresholdDone = true
+	r.thresholdAt = time.Now()
 }
 
-// tileDone commits one finished tile and persists opportunistically.
-// The pair/permutation split lives in the checkpoint state so a resumed
-// run reports the full-history counters exactly (the resume test pins
-// this).
-func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, skipped int64, edges []grn.Edge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state.Done[ti] {
-		return
-	}
-	r.state.Done[ti] = true
-	r.state.EvalsPerTile[ti] = pairEvals + permEvals
-	r.state.PairEvalsPerTile[ti] = pairEvals
-	r.skipped[ti] = skipped
-	r.state.Edges = append(r.state.Edges, edges...)
-	if r.path == "" {
-		return
-	}
-	r.sinceSave++
-	if r.sinceSave >= r.every {
-		r.saveLocked()
-	}
-}
-
-func (r *clusterRecorder) saveLocked() {
-	if err := checkpoint.SaveFileFS(r.fsys, r.path, r.state); err != nil && r.saveErr == nil {
-		r.saveErr = err
-	}
-	r.sinceSave = 0
-}
-
-// flush forces a save and returns the first save error, if any.
-func (r *clusterRecorder) flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.path != "" {
-		r.saveLocked()
-	}
-	return r.saveErr
-}
-
-// sampleTraffic records the world's traffic counters at a commit point.
+// sampleTraffic records the world's traffic counters at a phase
+// boundary.
 func (r *clusterRecorder) sampleTraffic(msgs, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,11 +81,22 @@ func (r *clusterRecorder) foldAttempt() {
 	r.msgsCur, r.bytesCur = 0, 0
 }
 
-// traffic returns the accumulated run totals.
-func (r *clusterRecorder) traffic() (msgs, bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.msgsTotal, r.bytesTotal
+// timeAttempt splits an attempt's wall time between the threshold and
+// mi phases at the moment the threshold was committed: an attempt that
+// never committed it is all threshold, one that found it committed by
+// an earlier attempt or the checkpoint is all mi.
+func (r *clusterRecorder) timeAttempt(res *Result, start, end time.Time) {
+	split := end
+	if r.thresholdDone {
+		split = r.thresholdAt
+		if split.Before(start) {
+			split = start
+		}
+	}
+	if split.After(start) {
+		res.Timer.Add("threshold", split.Sub(start))
+	}
+	res.Timer.Add("mi", end.Sub(split))
 }
 
 // runCluster executes phases 3/4 as the original TINGe does on a
@@ -152,127 +109,74 @@ func (r *clusterRecorder) traffic() (msgs, bytes int64) {
 // errors, panics, or is killed by an injected fault aborts the world
 // (no peer blocks past it — see mpi.AbortError), the un-committed state
 // of the surviving ranks is discarded, and the engine re-runs with the
-// failed rank excluded — the checkpoint tile bitmap keeps every
-// committed tile, and only the pending remainder is redistributed
-// cyclically over the survivors. Because the permutation pool and the
-// null-pair sample depend only on the seed (never on the world size),
-// the recovered network is bit-identical to the fault-free run and to
-// the host engine's.
+// failed rank excluded — the tile log keeps every committed tile, and
+// only the pending remainder is redistributed cyclically over the
+// survivors. Because the permutation pool and the null-pair sample
+// depend only on the seed (never on the world size), the recovered
+// network is bit-identical to the fault-free run and to the host
+// engine's.
 func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) error {
 	n := wm.Genes
 	tiles := tile.Decompose(n, cfg.TileSize)
-
-	state := checkpoint.NewState(fingerprint(wm, cfg), len(tiles))
-	resumed := false
-	if cfg.CheckpointPath != "" {
-		loaded, res2, err := loadResumeState(cfg, state.Fingerprint, len(tiles), res)
-		if err != nil {
-			return err
-		}
-		state = loaded
-		resumed = res2
+	log, err := openTileLog(cfg, fingerprint(wm, cfg), len(tiles), res)
+	if err != nil {
+		return err
 	}
-	rec := &clusterRecorder{
-		state:   state,
-		skipped: make([]int64, len(tiles)),
-		// A resumed checkpoint was saved after phase 3 completed, so its
-		// threshold is authoritative.
-		thresholdDone: resumed,
-		fsys:          cfg.FS,
-		path:          cfg.CheckpointPath,
-		every:         cfg.CheckpointEvery,
-	}
-
-	type rankOut struct {
-		threshold              float64
-		cacheHits, cacheMisses int64
-		busy                   float64
-		tileBytes              int64
-	}
+	// A resumed checkpoint was saved after phase 3 completed, so its
+	// threshold is authoritative.
+	rec := &clusterRecorder{tileLog: log, thresholdDone: log.resumed}
+	scan := newTileScan(cfg, tiles, log, log.pending(0, len(tiles)))
 
 	alive := cfg.Ranks
-	var out []rankOut
-	start := time.Now()
+	var thresholds []float64
+	var stats []workerStats
 	for {
 		// Snapshot the pending work list outside the world so every rank
 		// partitions the identical slice this attempt.
-		pending := state.PendingTiles()
-		out = make([]rankOut, alive)
+		scan.pending = log.pending(0, len(tiles))
+		thresholds = make([]float64, alive)
+		stats = make([]workerStats, alive)
+		start := time.Now()
 		err := mpi.RunOpts(ctx, alive, mpi.Options{Fault: cfg.Fault}, func(c *mpi.Comm) error {
 			k := newPairKernel(wm, cfg)
-			ws := k.newWorkspace()
+			sw := scanWorker{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)}
 
-			// Phase 3 (distributed): cyclic partition of the null sample.
-			// Skipped when a prior attempt or a resumed checkpoint already
-			// committed the threshold — it depends only on the seed, never
-			// on the world size, so recovery cannot change it.
+			// Phase 3 (distributed): this rank's cyclic share of the null
+			// sample, all-gathered. Skipped when a prior attempt or a
+			// resumed checkpoint already committed the threshold — it
+			// depends only on the seed, never on the world size, so
+			// recovery cannot change it.
 			c.Phase("null-pool")
-			threshold, nullSize, thresholdDone := rec.threshold()
-			if !thresholdDone {
-				count := cfg.NullSamplePairs
-				if max := tile.TotalPairs(n); count > max {
-					count = max
+			threshold, _, done := rec.threshold()
+			if !done {
+				th, nullSize, err := nullThreshold(cfg, n, c.Rank(), c.Size(), []scanWorker{sw}, c.Err, c.Allgatherv)
+				if err != nil {
+					return err
 				}
-				pairs := sampleNullPairs(cfg.Seed, n, count)
-				var local perm.Null
-				for idx := c.Rank(); idx < len(pairs); idx += c.Size() {
-					if err := c.Err(); err != nil {
-						return err
-					}
-					for p := 0; p < k.pool.Q(); p++ {
-						local.Add(k.miPermuted(pairs[idx][0], pairs[idx][1], p, ws))
-					}
-				}
-				gathered := c.Allgatherv(local.Values())
-				pooled := &perm.Null{}
-				for _, vals := range gathered {
-					pooled.AddAll(vals)
-				}
-				nullSize = pooled.Len()
-				if nullSize > 0 {
-					threshold = pooled.Threshold(cfg.Alpha)
-				}
-				rec.setThreshold(threshold, nullSize)
+				rec.setThreshold(th, nullSize)
+				threshold = th
 			}
 			k.thresh = threshold
+			rec.sampleTraffic(c.Traffic())
 
 			// Phase 4: cyclic partition of the pending tiles, sequential
 			// per rank. Each finished tile is committed immediately so a
 			// later abort costs only in-flight work.
 			c.Phase("tile-scan")
-			busyStart := time.Now()
-			pc := k.newPermCache(cfg)
-			var edges []grn.Edge
-			for idx := c.Rank(); idx < len(pending); idx += c.Size() {
-				if err := c.Err(); err != nil {
-					return err
-				}
-				ti := pending[idx]
-				var tilePairEvals, tilePermEvals, tileSkipped int64
-				var tileEdges []grn.Edge
-				tiles[ti].ForEachPair(func(i, j int) {
-					obs, sig, ev, pe, sk := k.decide(i, j, ws, pc)
-					tilePairEvals += ev
-					tilePermEvals += pe
-					tileSkipped += sk
-					if sig {
-						tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
-					}
-				})
-				rec.tileDone(ti, tilePairEvals, tilePermEvals, tileSkipped, tileEdges)
-				edges = append(edges, tileEdges...)
-				m, b := c.Traffic()
-				rec.sampleTraffic(m, b)
+			sched := tile.NewScheduler(tile.StaticCyclic, len(scan.pending), c.Size())
+			st, err := scan.run(c.Rank(), sched, c.Err, sw)
+			if err != nil {
+				return err
 			}
-			busy := time.Since(busyStart).Seconds()
+			rec.sampleTraffic(c.Traffic())
 
 			// Gather this attempt's edges at root as flat (i, j, w)
 			// triples — the TINGe wire protocol, kept for communication
 			// accounting and validated at root; the network itself is
 			// assembled from the committed tile log.
 			c.Phase("gather")
-			flat := make([]float64, 0, len(edges)*3)
-			for _, e := range edges {
+			flat := make([]float64, 0, len(st.edges)*3)
+			for _, e := range st.edges {
 				flat = append(flat, float64(e.I), float64(e.J), e.Weight)
 			}
 			if corruptGatherForTest != nil {
@@ -280,18 +184,10 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			}
 			gatheredEdges := c.Gatherv(0, flat)
 			c.Barrier()
-			m, b := c.Traffic()
-			rec.sampleTraffic(m, b)
+			rec.sampleTraffic(c.Traffic())
 
-			o := &out[c.Rank()]
-			o.threshold = threshold
-			o.tileBytes = int64(ws.Bytes())
-			if pc != nil {
-				o.cacheHits = pc.Hits()
-				o.cacheMisses = pc.Misses()
-				o.tileBytes += int64(pc.Bytes())
-			}
-			o.busy = busy
+			thresholds[c.Rank()] = threshold
+			stats[c.Rank()] = st
 			if c.Rank() == 0 {
 				for _, part := range gatheredEdges {
 					if len(part)%3 != 0 {
@@ -302,6 +198,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			return nil
 		})
 		rec.foldAttempt()
+		rec.timeAttempt(res, start, time.Now())
 		if err == nil {
 			break
 		}
@@ -314,12 +211,12 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			res.RecoveryRuns < cfg.MaxRecoveries && ctx.Err() == nil {
 			res.RankFailures++
 			res.RecoveryRuns++
-			res.RecoveredTiles += state.Remaining()
+			res.RecoveredTiles += log.state.Remaining()
 			alive--
 			continue
 		}
 		// Persist whatever committed, even on a terminal failure.
-		if ferr := rec.flush(); ferr != nil && ctx.Err() == nil {
+		if ferr := log.flush(); ferr != nil && ctx.Err() == nil {
 			return ferr
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -327,52 +224,27 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		}
 		return err
 	}
-	scanSpan := time.Since(start)
 
 	// Ranks computed thresholds from identical pooled values; assert
 	// agreement (a mismatch indicates nondeterminism).
-	for r := 1; r < len(out); r++ {
-		if out[r].threshold != out[0].threshold {
+	for r := 1; r < len(thresholds); r++ {
+		if thresholds[r] != thresholds[0] {
 			return fmt.Errorf("core: rank %d threshold %v != rank 0 %v",
-				r, out[r].threshold, out[0].threshold)
+				r, thresholds[r], thresholds[0])
 		}
 	}
-	if err := rec.flush(); err != nil {
+	if err := log.flush(); err != nil {
 		return err
 	}
 
 	res.Threshold, res.NullSize, _ = rec.threshold()
-	res.Timer.Add("threshold+mi(cluster)", scanSpan)
-
-	busy := make([]float64, len(out))
-	for r := range out {
-		res.PermCacheHits += out[r].cacheHits
-		res.PermCacheMisses += out[r].cacheMisses
-		if out[r].tileBytes > res.PeakTileBytes {
-			res.PeakTileBytes = out[r].tileBytes
-		}
-		busy[r] = out[r].busy
-	}
-	res.Imbalance = tile.Imbalance(busy)
-	// Full-history sums from the committed tile log: the split arrays
-	// ride in the checkpoint, so a resumed run reports the identical
-	// totals a fault-free run would.
-	for ti := range state.EvalsPerTile {
-		res.PairsEvaluated += state.PairEvalsPerTile[ti]
-		res.PermEvaluations += state.EvalsPerTile[ti] - state.PairEvalsPerTile[ti]
-		res.PermutationsSkipped += rec.skipped[ti]
-	}
-	res.Messages, res.TrafficBytes = rec.traffic()
+	foldWorkers(res, stats)
+	log.publish(res, n)
+	res.Messages, res.TrafficBytes = rec.msgsTotal, rec.bytesTotal
 	if cfg.Fault != nil {
 		st := cfg.Fault.Stats()
 		res.FaultDelayedMessages = st.Delayed
 		res.FaultDroppedMessages = st.Dropped
 	}
-
-	net := grn.New(n)
-	for _, e := range state.Edges {
-		net.AddEdge(e.I, e.J, e.Weight)
-	}
-	res.Network = net
 	return nil
 }

@@ -16,17 +16,21 @@
 //  5. dpi: optional data-processing-inequality pruning of the
 //     resulting network.
 //
-// Three engines execute phase 4 (and share the others):
+// Phases 3 and 4 are one scan core (scan.go) — the pooled-null
+// routine, the per-worker tile loop, and the tile-commit log — that
+// every engine schedules:
 //
-//   - HostEngine: a goroutine pool over pair tiles (the paper's Xeon
+//   - Host: a goroutine pool over pair tiles (the paper's Xeon
 //     solution).
-//   - PhiEngine: the same computation, plus a simulated-time account on
+//   - Phi and Hybrid: the same pool, plus a simulated-time account on
 //     the phi.Device model including PCIe offload (the paper's Xeon Phi
 //     solution — we lack the hardware, so time is modeled, results are
 //     exact).
-//   - ClusterEngine: ranks over the mpi runtime with a static block
-//     partition and an allreduced threshold (the original TINGe
-//     cluster baseline).
+//   - OutOfCore: the same pool, each worker staging its tile's rows
+//     from a disk-backed panel store under a memory budget.
+//   - Cluster: one worker per rank over the mpi runtime, tiles dealt
+//     cyclically, the null all-gathered (the original TINGe cluster
+//     baseline).
 package core
 
 import (
@@ -223,7 +227,7 @@ func (e EnsembleConfig) sampleCount(m int) (int, error) {
 // (the CLI and server expose the sentinel; library callers wanting the
 // paper's 0.1 set it explicitly or pass a negative).
 type Config struct {
-	// Engine selects host, phi, or cluster execution.
+	// Engine selects the execution engine (default Host).
 	Engine EngineKind
 	// Order is the B-spline order k (default 3).
 	Order int
@@ -278,13 +282,13 @@ type Config struct {
 	LegacyPermutation bool
 	// Progress, when non-nil, is invoked after every completed pair
 	// tile with (tilesDone, tilesTotal). It is called concurrently from
-	// worker goroutines and must be safe for concurrent use; keep it
-	// cheap — it sits on the scan's critical path. Host and Phi engines
-	// only.
+	// worker goroutines (cluster ranks) and must be safe for concurrent
+	// use; keep it cheap — it sits on the scan's critical path. Every
+	// engine reports through it.
 	Progress func(done, total int)
 	// Trace, when non-nil, records a per-worker span for every pair
-	// tile (plus the threshold phase), exportable as a Chrome trace.
-	// Host and Phi engines only.
+	// tile, exportable as a Chrome trace; a cluster rank is one worker.
+	// Every engine records through it.
 	Trace *trace.Recorder
 	// CheckpointPath enables resumable scans: when the file exists, the
 	// run resumes from it (a parameter mismatch is an error); progress
@@ -772,17 +776,7 @@ func InferContext(ctx context.Context, exprMat *mat.Dense, cfg Config) (*Result,
 		}
 		return res, nil
 	}
-	switch cfg.Engine {
-	case Host:
-		err = runHost(ctx, wm, cfg, res)
-	case Phi:
-		err = runPhi(ctx, wm, cfg, res)
-	case Cluster:
-		err = runCluster(ctx, wm, cfg, res)
-	case Hybrid:
-		err = runHybrid(ctx, wm, cfg, res)
-	}
-	if err != nil {
+	if err := runResident(ctx, wm, cfg, res, nil); err != nil {
 		return nil, err
 	}
 
@@ -796,6 +790,24 @@ func InferContext(ctx context.Context, exprMat *mat.Dense, cfg Config) (*Result,
 		return nil, err
 	}
 	return res, nil
+}
+
+// runResident runs phases 3 and 4 over a resident weight matrix on the
+// configured engine. kit, when non-nil, is the ensemble loop's shared
+// host-pool apparatus (the cluster engine builds per-rank kernels
+// inside each world instead).
+func runResident(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit *scanKit) error {
+	switch cfg.Engine {
+	case Cluster:
+		return runCluster(ctx, wm, cfg, res)
+	case Phi:
+		return runPhi(ctx, wm, cfg, res, kit)
+	case Hybrid:
+		return runHybrid(ctx, wm, cfg, res, kit)
+	default:
+		_, _, err := hostScan(ctx, wm, cfg, res, kit)
+		return err
+	}
 }
 
 // InferStore runs the out-of-core pipeline directly against a panel

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,35 +100,46 @@ func TestInferInputValidation(t *testing.T) {
 
 func TestInferBasicProperties(t *testing.T) {
 	d := testDataset(t, 40, 150, 1)
-	res, err := Infer(d.Expr, Config{Seed: 7, Permutations: 20, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Network == nil || res.Network.N() != 40 {
-		t.Fatalf("network N = %v", res.Network)
-	}
-	if res.Threshold <= 0 {
-		t.Fatalf("threshold = %v, want > 0", res.Threshold)
-	}
-	if res.NullSize == 0 {
-		t.Fatal("null distribution empty")
-	}
-	if res.PairsEvaluated < int64(tile.TotalPairs(40)) {
-		t.Fatalf("PairsEvaluated = %d, want >= %d", res.PairsEvaluated, tile.TotalPairs(40))
-	}
-	if res.Network.Len() == 0 {
-		t.Fatal("no edges recovered on strongly coupled data")
+	for _, tc := range []struct {
+		engine EngineKind
+		phases []string
+	}{
+		{Host, []string{"normalize", "precompute", "threshold", "mi"}},
+		{OutOfCore, []string{"ingest", "threshold", "mi"}},
+		{Cluster, []string{"normalize", "precompute", "threshold", "mi"}},
+	} {
+		t.Run(tc.engine.String(), func(t *testing.T) {
+			res, err := Infer(d.Expr, Config{Engine: tc.engine, Seed: 7, Permutations: 20, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Network == nil || res.Network.N() != 40 {
+				t.Fatalf("network N = %v", res.Network)
+			}
+			if res.Threshold <= 0 {
+				t.Fatalf("threshold = %v, want > 0", res.Threshold)
+			}
+			if res.NullSize == 0 {
+				t.Fatal("null distribution empty")
+			}
+			if res.PairsEvaluated < int64(tile.TotalPairs(40)) {
+				t.Fatalf("PairsEvaluated = %d, want >= %d", res.PairsEvaluated, tile.TotalPairs(40))
+			}
+			if res.Network.Len() == 0 {
+				t.Fatal("no edges recovered on strongly coupled data")
+			}
+			// Phase timer must cover the pipeline.
+			for _, phase := range tc.phases {
+				if res.Timer.Get(phase) <= 0 {
+					t.Fatalf("phase %q not timed (have %v)", phase, res.Timer)
+				}
+			}
+		})
 	}
 	// Input must be unmodified (Infer clones).
 	d2 := testDataset(t, 40, 150, 1)
 	if !d.Expr.Equal(d2.Expr, 0) {
 		t.Fatal("Infer mutated the input matrix")
-	}
-	// Phase timer must cover the pipeline.
-	for _, phase := range []string{"normalize", "precompute", "threshold", "mi"} {
-		if res.Timer.Get(phase) <= 0 {
-			t.Fatalf("phase %q not timed", phase)
-		}
 	}
 }
 
@@ -506,37 +518,49 @@ func TestInferNilContext(t *testing.T) {
 
 func TestProgressAndTraceHooks(t *testing.T) {
 	d := testDataset(t, 20, 60, 40)
-	var calls int64
-	var lastDone, total int64
-	rec := trace.NewRecorder()
-	res, err := Infer(d.Expr, Config{
-		Seed: 1, Permutations: 5, Workers: 2, TileSize: 4,
-		Progress: func(done, tot int) {
-			atomic.AddInt64(&calls, 1)
-			atomic.StoreInt64(&lastDone, int64(done))
-			atomic.StoreInt64(&total, int64(tot))
-		},
-		Trace: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
+	nTiles := len(tile.Decompose(20, 4))
+	for _, engine := range []EngineKind{Host, OutOfCore, Cluster} {
+		t.Run(engine.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			calls, maxDone := 0, 0
+			var totals []int
+			rec := trace.NewRecorder()
+			_, err := Infer(d.Expr, Config{
+				Engine: engine, Seed: 1, Permutations: 5, Workers: 2, Ranks: 2, TileSize: 4,
+				Progress: func(done, total int) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					if done > maxDone {
+						maxDone = done
+					}
+					totals = append(totals, total)
+				},
+				Trace: rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != nTiles {
+				t.Fatalf("progress calls = %d, want %d", calls, nTiles)
+			}
+			if maxDone != nTiles {
+				t.Fatalf("progress ended at done = %d, want %d", maxDone, nTiles)
+			}
+			for _, total := range totals {
+				if total != nTiles {
+					t.Fatalf("progress total = %d, want %d", total, nTiles)
+				}
+			}
+			// Trace: one span per tile, both workers covered by utilization.
+			if rec.Len() != nTiles {
+				t.Fatalf("trace spans = %d, want %d", rec.Len(), nTiles)
+			}
+			if util := rec.Utilization(2); len(util) != 2 {
+				t.Fatalf("utilization = %v", util)
+			}
+		})
 	}
-	nTiles := int64(len(tile.Decompose(20, 4)))
-	if calls != nTiles {
-		t.Fatalf("progress calls = %d, want %d", calls, nTiles)
-	}
-	if total != nTiles {
-		t.Fatalf("total = %d, want %d", total, nTiles)
-	}
-	// Trace: one span per tile, all workers covered by utilization.
-	if int64(rec.Len()) != nTiles {
-		t.Fatalf("trace spans = %d, want %d", rec.Len(), nTiles)
-	}
-	util := rec.Utilization(2)
-	if len(util) != 2 {
-		t.Fatalf("utilization = %v", util)
-	}
-	_ = res
 }
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
@@ -652,8 +676,8 @@ func TestCheckpointClusterResume(t *testing.T) {
 	if !sameEdges(first.Network, second.Network) {
 		t.Fatal("resumed cluster network differs")
 	}
-	if second.PairsEvaluated != first.PairsEvaluated {
-		t.Fatalf("resume lost eval history: %d vs %d", second.PairsEvaluated, first.PairsEvaluated)
+	if second.PairsEvaluated != 0 {
+		t.Fatalf("completed checkpoint should need 0 evaluations, did %d", second.PairsEvaluated)
 	}
 	if second.Threshold != first.Threshold {
 		t.Fatalf("resume changed threshold: %v vs %v", second.Threshold, first.Threshold)

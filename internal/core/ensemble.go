@@ -9,58 +9,11 @@ import (
 	"repro/internal/diskfault"
 	"repro/internal/grn"
 	"repro/internal/mat"
-	"repro/internal/mi"
 	"repro/internal/panelstore"
 	"repro/internal/perm"
 	"repro/internal/stats"
 	"repro/internal/tile"
 )
-
-// scanKit is the resident ensemble loop's shared scan apparatus: one
-// kernel (estimator + permutation pool) and one
-// workspace and permuted-row cache per worker, built once for the
-// first bootstrap and rebound — never reallocated — for every
-// subsequent one. The permutation pool never rebinds at all: the
-// subsample size is constant across bootstraps, so the same permuted
-// index sets apply to every bootstrap's view.
-type scanKit struct {
-	k  *pairKernel
-	ws []*mi.Workspace
-	pc []*mi.PermCache
-}
-
-// newScanKit builds the apparatus against an already-filled view.
-func newScanKit(wm *bspline.WeightMatrix, cfg Config) *scanKit {
-	k := newPairKernel(wm, cfg)
-	kit := &scanKit{
-		k:  k,
-		ws: make([]*mi.Workspace, cfg.Workers),
-		pc: make([]*mi.PermCache, cfg.Workers),
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		kit.ws[w] = k.newWorkspace()
-		kit.pc[w] = k.newPermCache(cfg)
-	}
-	return kit
-}
-
-// rebind points the kit at a refilled weight-matrix view: marginal
-// entropies are recomputed, every index-dependent cache is invalidated
-// (a stale row key or permuted-row entry would alias the previous
-// bootstrap's gene values), and the threshold is cleared for the next
-// bootstrap's phase 3.
-func (kit *scanKit) rebind(wm *bspline.WeightMatrix) {
-	kit.k.est.Reset(wm)
-	kit.k.thresh = 0
-	for _, ws := range kit.ws {
-		ws.InvalidateRowKeys()
-	}
-	for _, pc := range kit.pc {
-		if pc != nil {
-			pc.Rebind(kit.k.est)
-		}
-	}
-}
 
 // ensembleLedger is the bootstrap-granularity checkpoint of an
 // ensemble run: Done is the per-bootstrap bitmap, the per-tile counter
@@ -308,17 +261,7 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 		bcfg.CheckpointPath = ""
 		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, sessionDone, hi-lo)
 		bres := &Result{Timer: res.Timer}
-		switch cfg.Engine {
-		case Cluster:
-			err = runCluster(ctx, view, bcfg, bres)
-		case Phi:
-			err = runPhiKit(ctx, view, bcfg, bres, kit)
-		case Hybrid:
-			err = runHybridKit(ctx, view, bcfg, bres, kit)
-		default:
-			_, _, err = hostScanKit(ctx, view, bcfg, bres, kit)
-		}
-		if err != nil {
+		if err := runResident(ctx, view, bcfg, bres, kit); err != nil {
 			return err
 		}
 		var rows grn.RowFunc
@@ -391,15 +334,16 @@ func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer
 		}
 		idx := perm.SubsampleIndices(ec.Seed, uint64(b), m, mSub)
 		copy(idxBuf, idx)
-		for _, wk := range workers {
-			wk.pk.thresh = 0
-		}
 
 		bcfg := cfg
 		bcfg.CheckpointPath = ""
 		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, sessionDone, hi-lo)
 		bres := &Result{Timer: timer}
-		if err := oocScanPass(ctx, store, bcfg, bres, workers, tiles, nil, false); err != nil {
+		log, err := openTileLog(bcfg, fingerprintDims(n, m, cfg), len(tiles), bres)
+		if err != nil {
+			return nil, err
+		}
+		if err := scanPool(ctx, bcfg, bres, n, tiles, log, workers); err != nil {
 			return nil, err
 		}
 		var rows grn.RowFunc
@@ -422,17 +366,6 @@ func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer
 	// Store and budget accounting once over the whole ensemble — the
 	// panel cache persists across bootstraps, so these are cumulative
 	// by construction.
-	st := store.Stats()
-	res.PanelHits = st.Hits
-	res.PanelLoads = st.Misses
-	res.PanelEvictions = st.Evictions
-	res.PanelBytesSpilled = st.BytesSpilled
-	res.PanelBytesLoaded = st.BytesLoaded
-	res.SpillReadRetries += st.LoadRetries
-	res.StorePeakBytes = st.PeakBytes
-	res.PeakTileBytes = st.PeakBytes + scratch
-	if p := ingestPeak + 3*store.PanelBytes(); p > res.PeakTileBytes {
-		res.PeakTileBytes = p
-	}
+	reportStore(res, store, scratch, ingestPeak)
 	return res, nil
 }

@@ -2,95 +2,15 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bspline"
 	"repro/internal/checkpoint"
-	"repro/internal/diskfault"
-	"repro/internal/grn"
-	"repro/internal/mi"
-	"repro/internal/perm"
 	"repro/internal/tile"
 )
 
-// ckptManager serializes checkpoint updates from worker goroutines and
-// saves the state every `every` completed tiles plus a final save at
-// scan end, so an interrupted run loses at most one interval.
-type ckptManager struct {
-	mu        sync.Mutex
-	fsys      diskfault.FS
-	path      string
-	every     int
-	state     *checkpoint.State
-	sinceSave int
-	saveErr   error
-}
-
-// tileDone records a completed tile and persists opportunistically.
-// EvalsPerTile keeps the combined exact+permutation count (the Phi time
-// model's quantity); the split is persisted alongside so a resumed run
-// can still report it.
-func (m *ckptManager) tileDone(ti int, pairEvals, permEvals int64, edges []grn.Edge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state.Done[ti] = true
-	m.state.EvalsPerTile[ti] = pairEvals + permEvals
-	m.state.PairEvalsPerTile[ti] = pairEvals
-	m.state.Edges = append(m.state.Edges, edges...)
-	m.sinceSave++
-	if m.sinceSave >= m.every {
-		m.saveLocked()
-	}
-}
-
-func (m *ckptManager) saveLocked() {
-	if err := checkpoint.SaveFileFS(m.fsys, m.path, m.state); err != nil && m.saveErr == nil {
-		m.saveErr = err
-	}
-	m.sinceSave = 0
-}
-
-// flush forces a save and returns the first save error, if any.
-func (m *ckptManager) flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.saveLocked()
-	return m.saveErr
-}
-
 func fingerprint(wm *bspline.WeightMatrix, cfg Config) checkpoint.Fingerprint {
 	return fingerprintDims(wm.Genes, wm.Samples, cfg)
-}
-
-// loadResumeState is the corruption-tolerant checkpoint load every
-// engine shares. A valid checkpoint (primary or its ".prev" rotation)
-// resumes the scan; a missing one starts fresh; a checkpoint whose
-// every copy fails integrity checks ALSO starts fresh — counted in
-// res.CheckpointRecoveries, never a run failure, because losing a
-// resume point costs recomputation while refusing the job costs the
-// result. A fingerprint mismatch on a VALID checkpoint stays a hard
-// error: that is a configuration conflict, not disk damage.
-func loadResumeState(cfg Config, fp checkpoint.Fingerprint, nTiles int, res *Result) (state *checkpoint.State, resumed bool, err error) {
-	state, err = checkpoint.LoadFileFS(cfg.FS, cfg.CheckpointPath)
-	var ce *checkpoint.CorruptError
-	if errors.As(err, &ce) {
-		res.CheckpointRecoveries++
-		state, err = nil, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if state != nil {
-		if verr := state.Validate(fp, nTiles); verr != nil {
-			return nil, false, verr
-		}
-		return state, true, nil
-	}
-	return checkpoint.NewState(fp, nTiles), false, nil
 }
 
 // fingerprintDims is the checkpoint fingerprint from bare dimensions.
@@ -115,247 +35,117 @@ func fingerprintDims(genes, samples int, cfg Config) checkpoint.Fingerprint {
 	}
 }
 
-// hostScan is the shared parallel phase-3/phase-4 implementation: it
-// estimates the threshold from the pooled null and then scans the pair
-// tiles over cfg.Workers goroutines, optionally resuming from and
-// persisting to a checkpoint. It fills res.Network, Threshold,
-// NullSize, PairsEvaluated and Imbalance, and returns the per-tile MI
-// kernel evaluation counts (full history across resumed sessions —
-// the basis of the Phi engine's time model) plus the tile list.
-func hostScan(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) ([]int64, []tile.Tile, error) {
-	return hostScanKit(ctx, wm, cfg, res, nil)
+// scanKit is the resident host pool's scan apparatus: one kernel
+// (estimator + permutation pool) and one workspace and permuted-row
+// cache per worker. The ensemble loop builds it once for the first
+// bootstrap and rebinds — never reallocates — it for every subsequent
+// one. The permutation pool never rebinds at all: the subsample size is
+// constant across bootstraps, so the same permuted index sets apply to
+// every bootstrap's view.
+type scanKit struct {
+	k       *pairKernel
+	workers []scanWorker
 }
 
-// hostScanKit is hostScan with an optional pre-built scanKit — the
-// ensemble loop's amortization seam: the kit's kernel, per-worker
-// workspaces, and permuted-row caches are built once and rebound per
-// bootstrap instead of reallocated per scan. A nil kit builds the
-// apparatus fresh (the single-scan path). Cache hit/miss counters are
-// reported as this scan's deltas, so a shared kit never double-counts.
-func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit *scanKit) ([]int64, []tile.Tile, error) {
-	var k *pairKernel
-	if kit != nil {
-		k = kit.k
-	} else {
-		k = newPairKernel(wm, cfg)
-	}
-	n := wm.Genes
-	tiles := tile.Decompose(n, cfg.TileSize)
+// newScanKit builds the apparatus against an already-filled view.
+func newScanKit(wm *bspline.WeightMatrix, cfg Config) *scanKit {
+	k := newPairKernel(wm, cfg)
+	kit := &scanKit{k: k, workers: make([]scanWorker, cfg.Workers)}
+	// Each worker's scratch is allocated on a goroutine of its own. Built
+	// back to back on one goroutine, it cost ~15% more scan CPU time
+	// (2 workers, n=400, m=128, q=30 on a 2-vCPU VM; medians of 8
+	// interleaved runs), as scratch shared between cores would.
+	fanOut(cfg.Workers, func(w int) error {
+		kit.workers[w] = scanWorker{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)}
+		return nil
+	})
+	return kit
+}
 
-	// Checkpoint setup: load-or-create before phase 3 so a resumed run
-	// skips threshold estimation entirely.
-	var ck *ckptManager
-	resumed := false
-	if cfg.CheckpointPath != "" {
-		state, res2, err := loadResumeState(cfg, fingerprint(wm, cfg), len(tiles), res)
-		if err != nil {
-			return nil, nil, err
-		}
-		resumed = res2
-		ck = &ckptManager{fsys: cfg.FS, path: cfg.CheckpointPath, every: cfg.CheckpointEvery, state: state}
-	}
-
-	// Phase 3: pooled-null threshold, parallel over sampled pairs.
-	if resumed {
-		res.Threshold = ck.state.Threshold
-		res.NullSize = ck.state.NullSize
-	} else {
-		res.Timer.Time("threshold", func() {
-			count := cfg.NullSamplePairs
-			if max := tile.TotalPairs(n); count > max {
-				count = max
-			}
-			pairs := sampleNullPairs(cfg.Seed, n, count)
-			workers := cfg.Workers
-			if workers > len(pairs) && len(pairs) > 0 {
-				workers = len(pairs)
-			}
-			nulls := make([]perm.Null, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var ws *mi.Workspace
-					if kit != nil {
-						ws = kit.ws[w]
-					} else {
-						ws = k.newWorkspace()
-					}
-					lo := w * len(pairs) / workers
-					hi := (w + 1) * len(pairs) / workers
-					for _, pr := range pairs[lo:hi] {
-						if ctx.Err() != nil {
-							return
-						}
-						k.nullForPairs([][2]int{pr}, ws, &nulls[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			pooled := &perm.Null{}
-			for w := range nulls {
-				pooled.Merge(&nulls[w])
-			}
-			res.NullSize = pooled.Len()
-			if pooled.Len() > 0 {
-				res.Threshold = pooled.Threshold(cfg.Alpha)
-			}
-		})
-		if ck != nil {
-			ck.state.Threshold = res.Threshold
-			ck.state.NullSize = res.NullSize
+// rebind points the kit at a refilled weight-matrix view: marginal
+// entropies are recomputed and every index-dependent cache is
+// invalidated (a stale row key or permuted-row entry would alias the
+// previous bootstrap's gene values).
+func (kit *scanKit) rebind(wm *bspline.WeightMatrix) {
+	kit.k.est.Reset(wm)
+	for _, sw := range kit.workers {
+		sw.ws.InvalidateRowKeys()
+		if sw.pc != nil {
+			sw.pc.Rebind(kit.k.est)
 		}
 	}
-	k.thresh = res.Threshold
+}
 
-	// Phase 4: tile scan over the pending tiles — the whole triangle, or
-	// just the configured chunk range when the scan is one fleet chunk.
+// hostScan runs phases 3 and 4 on the resident host pool — the engine
+// behind Host, Phi and Hybrid. kit, when non-nil, is the ensemble
+// loop's shared apparatus; nil builds a fresh one. It fills res and
+// returns the per-tile MI kernel evaluation counts (full history
+// across resumed sessions — the basis of the Phi and Hybrid time
+// models) plus the tile list.
+func hostScan(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit *scanKit) ([]int64, []tile.Tile, error) {
+	if kit == nil {
+		kit = newScanKit(wm, cfg)
+	}
+	tiles := tile.Decompose(wm.Genes, cfg.TileSize)
+	log, err := openTileLog(cfg, fingerprint(wm, cfg), len(tiles), res)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := scanPool(ctx, cfg, res, wm.Genes, tiles, log, kit.workers); err != nil {
+		return nil, nil, err
+	}
+	return log.state.EvalsPerTile, tiles, nil
+}
+
+// scanPool is the scheduler of the in-process engines (host, Phi,
+// Hybrid, out-of-core): phase 3 over the workers unless the log
+// resumed a threshold, then phase 4 with one goroutine per worker
+// taking tiles under cfg.Policy. A fleet chunk (cfg.ChunkTiles)
+// restricts phase 4 to its tile range; phase 3's pooled null is
+// independent of the range, so every chunk derives the same threshold.
+func scanPool(ctx context.Context, cfg Config, res *Result, n int, tiles []tile.Tile, log *tileLog, workers []scanWorker) error {
 	lo, hi := 0, len(tiles)
 	if cfg.ChunkTiles > 0 {
 		lo, hi = cfg.ChunkStart, cfg.ChunkStart+cfg.ChunkTiles
 		if hi > len(tiles) {
-			return nil, nil, fmt.Errorf("core: chunk range [%d,%d) exceeds %d tiles", lo, hi, len(tiles))
+			return fmt.Errorf("core: chunk range [%d,%d) exceeds %d tiles", lo, hi, len(tiles))
 		}
 	}
-	pending := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if ck == nil || !ck.state.Done[i] {
-			pending = append(pending, i)
+	if !log.resumed {
+		var err error
+		res.Timer.Time("threshold", func() {
+			log.state.Threshold, log.state.NullSize, err = nullThreshold(cfg, n, 0, 1, workers, ctx.Err, nil)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	evalsPerTile := make([]int64, len(tiles))
-	busy := make([]float64, cfg.Workers)
-	tileBytes := make([]int64, cfg.Workers)
-	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalSkipped int64
-	var cacheHits, cacheMisses int64
-	var tilesDone int64
+	res.Threshold, res.NullSize = log.state.Threshold, log.state.NullSize
+	for _, sw := range workers {
+		sw.k.thresh = res.Threshold
+	}
+
+	scan := newTileScan(cfg, tiles, log, log.pending(lo, hi))
+	stats := make([]workerStats, len(workers))
+	var err error
 	res.Timer.Time("mi", func() {
-		sched := tile.NewScheduler(cfg.Policy, len(pending), cfg.Workers)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var ws *mi.Workspace
-				var pc *mi.PermCache
-				if kit != nil {
-					ws, pc = kit.ws[w], kit.pc[w]
-				} else {
-					ws = k.newWorkspace()
-					pc = k.newPermCache(cfg)
-				}
-				tileBytes[w] = int64(ws.Bytes())
-				var hits0, misses0 int64
-				if pc != nil {
-					tileBytes[w] += int64(pc.Bytes())
-					hits0, misses0 = pc.Hits(), pc.Misses()
-				}
-				start := time.Now()
-				var local []grn.Edge
-				var evals, permEvals, skipped int64
-				for {
-					pi := sched.Next(w)
-					if pi == -1 || ctx.Err() != nil {
-						break
-					}
-					ti := pending[pi]
-					var endSpan func()
-					if cfg.Trace != nil {
-						endSpan = cfg.Trace.Span(w, fmt.Sprintf("tile-%d %s", ti, tiles[ti]))
-					}
-					var tilePairEvals, tilePermEvals int64
-					var tileEdges []grn.Edge
-					tiles[ti].ForEachPair(func(i, j int) {
-						obs, sig, ev, pe, sk := k.decide(i, j, ws, pc)
-						tilePairEvals += ev
-						tilePermEvals += pe
-						skipped += sk
-						if sig {
-							tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
-						}
-					})
-					tileEvals := tilePairEvals + tilePermEvals
-					atomic.AddInt64(&evalsPerTile[ti], tileEvals)
-					evals += tilePairEvals
-					permEvals += tilePermEvals
-					if ck != nil {
-						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileEdges)
-					} else {
-						local = append(local, tileEdges...)
-					}
-					if endSpan != nil {
-						endSpan()
-					}
-					if cfg.Trace != nil {
-						// Per-worker amortization counter tracks: cumulative
-						// permutations skipped by early exit and permuted-row
-						// cache hits, sampled at every tile boundary.
-						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
-						if pc != nil {
-							cfg.Trace.Counter(w, "permcache_hits", float64(pc.Hits()))
-						}
-					}
-					if cfg.Progress != nil {
-						cfg.Progress(int(atomic.AddInt64(&tilesDone, 1)), len(pending))
-					}
-				}
-				busy[w] = time.Since(start).Seconds()
-				edgesPerWorker[w] = local
-				atomic.AddInt64(&totalEvals, evals)
-				atomic.AddInt64(&totalPermEvals, permEvals)
-				atomic.AddInt64(&totalSkipped, skipped)
-				if pc != nil {
-					atomic.AddInt64(&cacheHits, pc.Hits()-hits0)
-					atomic.AddInt64(&cacheMisses, pc.Misses()-misses0)
-				}
-			}(w)
-		}
-		wg.Wait()
+		sched := tile.NewScheduler(cfg.Policy, len(scan.pending), len(workers))
+		err = fanOut(len(workers), func(w int) (werr error) {
+			stats[w], werr = scan.run(w, sched, ctx.Err, workers[w])
+			return werr
+		})
 	})
-	if ck != nil {
-		// Persist whatever completed, even on cancellation.
-		if err := ck.flush(); err != nil {
-			return nil, nil, err
-		}
+	// Persist whatever completed, even on cancellation or a failed load.
+	if ferr := log.flush(); ferr != nil {
+		return ferr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
 	}
-	res.PairsEvaluated = totalEvals
-	res.PermEvaluations = totalPermEvals
-	res.PermutationsSkipped = totalSkipped
-	res.PermCacheHits = cacheHits
-	res.PermCacheMisses = cacheMisses
-	res.Imbalance = tile.Imbalance(busy)
-	for _, b := range tileBytes {
-		if b > res.PeakTileBytes {
-			res.PeakTileBytes = b
-		}
+	if err != nil {
+		return err
 	}
-
-	net := grn.New(n)
-	if ck != nil {
-		// The checkpoint holds the complete edge set across sessions.
-		for _, e := range ck.state.Edges {
-			net.AddEdge(e.I, e.J, e.Weight)
-		}
-		// Full-history evaluation counts drive the Phi time model.
-		copy(evalsPerTile, ck.state.EvalsPerTile)
-	} else {
-		for _, edges := range edgesPerWorker {
-			for _, e := range edges {
-				net.AddEdge(e.I, e.J, e.Weight)
-			}
-		}
-	}
-	res.Network = net
-	return evalsPerTile, tiles, nil
-}
-
-// runHost executes phase 3/4 on the goroutine-pool engine.
-func runHost(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) error {
-	_, _, err := hostScan(ctx, wm, cfg, res)
-	return err
+	foldWorkers(res, stats)
+	log.publish(res, n)
+	return nil
 }

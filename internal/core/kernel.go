@@ -192,13 +192,3 @@ func sampleNullPairs(seed uint64, n, count int) [][2]int {
 	}
 	return pairs
 }
-
-// nullForPairs computes the permuted MI values of the given pairs
-// (q values per pair) into a Null accumulator.
-func (k *pairKernel) nullForPairs(pairs [][2]int, ws *mi.Workspace, null *perm.Null) {
-	for _, pr := range pairs {
-		for p := 0; p < k.pool.Q(); p++ {
-			null.Add(k.miPermuted(pr[0], pr[1], p, ws))
-		}
-	}
-}

@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bspline"
-	"repro/internal/grn"
 	"repro/internal/mat"
 	"repro/internal/mi"
 	"repro/internal/panelstore"
@@ -66,10 +62,8 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 // stencil precompute per gene, the same kernels — only the gene
 // indices are tile-local.
 type oocWorker struct {
-	pk      *pairKernel
+	scanWorker
 	tileWM  *bspline.WeightMatrix
-	ws      *mi.Workspace
-	pc      *mi.PermCache
 	normBuf []float32   // 2·TileSize rank-normalized row copies
 	rows    [][]float32 // row views into normBuf for FillPanel
 	samples int
@@ -93,25 +87,24 @@ func newOOCWorker(basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int
 	}
 	tileWM := bspline.NewPanelWeights(basis, 2*cfg.TileSize, width)
 	est := mi.NewEstimator(tileWM)
+	k := &pairKernel{
+		est:    est,
+		pool:   pool,
+		kind:   cfg.Kernel,
+		prec:   cfg.Precision,
+		legacy: cfg.LegacyPermutation,
+	}
 	w := &oocWorker{
-		pk: &pairKernel{
-			est:    est,
-			pool:   pool,
-			kind:   cfg.Kernel,
-			prec:   cfg.Precision,
-			legacy: cfg.LegacyPermutation,
-		},
-		tileWM:  tileWM,
-		ws:      mi.NewWorkspacePrec(est, cfg.Precision),
-		normBuf: make([]float32, 2*cfg.TileSize*width),
-		rows:    make([][]float32, 0, 2*cfg.TileSize),
-		samples: width,
-		idx:     idx,
+		scanWorker: scanWorker{k: k, ws: mi.NewWorkspacePrec(est, cfg.Precision), pc: k.newPermCache(cfg)},
+		tileWM:     tileWM,
+		normBuf:    make([]float32, 2*cfg.TileSize*width),
+		rows:       make([][]float32, 0, 2*cfg.TileSize),
+		samples:    width,
+		idx:        idx,
 	}
 	if idx != nil {
 		w.fullBuf = make([]float32, samples)
 	}
-	w.pc = w.pk.newPermCache(cfg)
 	return w
 }
 
@@ -150,45 +143,34 @@ func (w *oocWorker) stage(p *panelstore.Panel, g, r int) {
 	w.rows = append(w.rows, dst)
 }
 
-// rebind re-derives weights, marginal entropies, and cache bindings for
-// the currently staged rows. Every index-dependent cache is
-// invalidated: local indices mean a stale row key or permuted-row entry
-// would alias a different gene.
-func (w *oocWorker) rebind() {
-	w.tileWM.FillPanel(w.rows)
-	w.pk.est.Reset(w.tileWM)
-	w.ws.InvalidateRowKeys()
-	if w.pc != nil {
-		w.pc.Rebind(w.pk.est)
-	}
-}
-
-// loadTile pins the tile's panels, stages its i-rows (and, off the
-// diagonal, its j-rows after them), and rebinds. It returns the local
-// index base of the j range: on a diagonal tile both ranges are the
-// same staged rows.
-func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (jBase int, err error) {
+// loadTile is the worker's row binding: it pins the tile's panels,
+// stages its i-rows (and, off the diagonal, its j-rows after them), and
+// re-derives weights, marginal entropies, and cache bindings for the
+// staged rows. Every index-dependent cache is invalidated: local
+// indices mean a stale row key or permuted-row entry would alias a
+// different gene. It returns the global-to-local index offsets; on a
+// diagonal tile both ranges are the same staged rows.
+func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (di, dj int, err error) {
 	w.rows = w.rows[:0]
 	pinI, err := store.Panel(store.PanelOf(t.I0))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	pinJ := pinI
 	if pj := store.PanelOf(t.J0); pj != pinI.Index() {
 		pinJ, err = store.Panel(pj)
 		if err != nil {
 			pinI.Release()
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	nI := t.I1 - t.I0
 	for r := 0; r < nI; r++ {
 		w.stage(pinI, t.I0+r, r)
 	}
-	if t.I0 == t.J0 {
-		jBase = 0 // diagonal tile: the j range is the i range
-	} else {
-		jBase = nI
+	dj = t.J0 // diagonal tile: the j range is the i range
+	if t.I0 != t.J0 {
+		dj = t.J0 - nI
 		for r := 0; r < t.J1-t.J0; r++ {
 			w.stage(pinJ, t.J0+r, nI+r)
 		}
@@ -197,46 +179,30 @@ func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (jBase int, e
 		pinJ.Release()
 	}
 	pinI.Release()
-	w.rebind()
-	return jBase, nil
+	w.tileWM.FillPanel(w.rows)
+	w.k.est.Reset(w.tileWM)
+	w.ws.InvalidateRowKeys()
+	if w.pc != nil {
+		w.pc.Rebind(w.k.est)
+	}
+	return t.I0, dj, nil
 }
 
-// loadPair stages one null-sample pair (a, b) as local genes (0, 1).
-func (w *oocWorker) loadPair(store *panelstore.Store, a, b int) error {
-	w.rows = w.rows[:0]
-	pinA, err := store.Panel(store.PanelOf(a))
-	if err != nil {
-		return err
-	}
-	pinB := pinA
-	if pb := store.PanelOf(b); pb != pinA.Index() {
-		pinB, err = store.Panel(pb)
-		if err != nil {
-			pinA.Release()
-			return err
-		}
-	}
-	w.stage(pinA, a, 0)
-	w.stage(pinB, b, 1)
-	if pinB != pinA {
-		pinB.Release()
-	}
-	pinA.Release()
-	w.rebind()
-	return nil
-}
-
-// oocWorkers builds the per-worker kits and carves the store's panel
-// budget out of cfg.MemoryBudget: worker scratch is a fixed cost the
-// resident panels must make room for. idx is the ensemble sample view
-// (nil for plain scans). It returns the workers and the total scratch
-// charge (worker kits plus the store's three fixed buffers).
-func oocWorkers(store *panelstore.Store, cfg Config, basis *bspline.Basis, pool *perm.Pool, idx []int32) ([]*oocWorker, int64, error) {
-	workers := make([]*oocWorker, cfg.Workers)
+// oocWorkers builds the per-worker kits, binds them to the store, and
+// carves the store's panel budget out of cfg.MemoryBudget: worker
+// scratch is a fixed cost the resident panels must make room for. idx
+// is the ensemble sample view (nil for plain scans). It returns the
+// workers and the total scratch charge (worker kits plus the store's
+// three fixed buffers).
+func oocWorkers(store *panelstore.Store, cfg Config, basis *bspline.Basis, pool *perm.Pool, idx []int32) ([]scanWorker, int64, error) {
+	workers := make([]scanWorker, cfg.Workers)
+	var perWorker int64
 	for w := range workers {
-		workers[w] = newOOCWorker(basis, pool, cfg, store.Cols(), idx)
+		wk := newOOCWorker(basis, pool, cfg, store.Cols(), idx)
+		wk.bind = func(t tile.Tile) (int, int, error) { return wk.loadTile(store, t) }
+		workers[w] = wk.scanWorker
+		perWorker = wk.bytes(basis, cfg)
 	}
-	perWorker := workers[0].bytes(basis, cfg)
 	scratch := perWorker*int64(cfg.Workers) + 3*store.PanelBytes() // + staging/transpose/io buffers
 	maxPins := int64(2 * cfg.Workers)
 	if np := int64(store.NumPanels()); np < maxPins {
@@ -251,10 +217,12 @@ func oocWorkers(store *panelstore.Store, cfg Config, basis *bspline.Basis, pool 
 	return workers, scratch, nil
 }
 
-// oocScan is the disk-backed counterpart of hostScan: the same
-// threshold estimation and pair-tile scan, but every gene row is
-// fetched from the panel store on demand and normalized/precomputed
-// per tile, so the working set is the memory budget — not the genome.
+// oocScan is the disk-backed counterpart of hostScan: the same pool
+// scheduler and tile loop, but every worker stages its tile's rows
+// from the panel store and normalizes/precomputes them per tile, so
+// the working set is the memory budget — not the genome. Checkpoints
+// share the resident engines' fingerprint, so committed tiles survive
+// a kill and are never re-read from the store on resume.
 func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Result) error {
 	n, m := store.Rows(), store.Cols()
 	basis, err := bspline.New(cfg.Order, cfg.Bins)
@@ -262,35 +230,31 @@ func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Resu
 		return err
 	}
 	pool := perm.MustNewPool(cfg.Seed, m, cfg.Permutations)
-	tiles := tile.Decompose(n, cfg.TileSize)
-
 	workers, scratch, err := oocWorkers(store, cfg, basis, pool, nil)
 	if err != nil {
 		return err
 	}
 	// The peak so far belongs to the ingest phase, whose fixed overhead
-	// is the store's three buffers, not the workers' scratch. Account
-	// the phases separately and report the larger ceiling at the end.
+	// is the store's three buffers, not the workers' scratch.
 	ingestPeak := store.ResetPeak()
-
-	// Checkpoint setup — byte-compatible with the resident engines via
-	// the shared fingerprint, so committed tiles survive a kill and are
-	// never re-read from the store on resume.
-	var ck *ckptManager
-	resumed := false
-	if cfg.CheckpointPath != "" {
-		state, res2, err := loadResumeState(cfg, fingerprintDims(n, m, cfg), len(tiles), res)
-		if err != nil {
-			return err
-		}
-		resumed = res2
-		ck = &ckptManager{fsys: cfg.FS, path: cfg.CheckpointPath, every: cfg.CheckpointEvery, state: state}
-	}
-
-	if err := oocScanPass(ctx, store, cfg, res, workers, tiles, ck, resumed); err != nil {
+	tiles := tile.Decompose(n, cfg.TileSize)
+	log, err := openTileLog(cfg, fingerprintDims(n, m, cfg), len(tiles), res)
+	if err != nil {
 		return err
 	}
+	if err := scanPool(ctx, cfg, res, n, tiles, log, workers); err != nil {
+		return err
+	}
+	reportStore(res, store, scratch, ingestPeak)
+	return nil
+}
 
+// reportStore publishes the panel store's counters and the run's
+// memory ceiling: the larger of the two phase peaks — resident panels
+// plus the store's own buffers during ingest, resident panels plus
+// every worker's fixed scratch (and those buffers) during the scan.
+// The phases never overlap, so they are not summed.
+func reportStore(res *Result, store *panelstore.Store, scratch, ingestPeak int64) {
 	st := store.Stats()
 	res.PanelHits = st.Hits
 	res.PanelLoads = st.Misses
@@ -299,223 +263,8 @@ func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Resu
 	res.PanelBytesLoaded = st.BytesLoaded
 	res.SpillReadRetries += st.LoadRetries
 	res.StorePeakBytes = st.PeakBytes
-	// The true ceiling is the larger of the two phase peaks: resident
-	// panels plus the store's own buffers during ingest, resident panels
-	// plus every worker's fixed scratch (and those buffers) during the
-	// scan. The phases never overlap, so they are not summed.
 	res.PeakTileBytes = st.PeakBytes + scratch
 	if p := ingestPeak + 3*store.PanelBytes(); p > res.PeakTileBytes {
 		res.PeakTileBytes = p
 	}
-	return nil
-}
-
-// oocScanPass runs phases 3 and 4 of the out-of-core scan with
-// pre-built workers — one full scan for the plain path, one bootstrap
-// for the ensemble loop (which reuses the workers across passes and
-// reads the store/budget counters once at the end). Cache counters are
-// reported as this pass's deltas.
-func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *Result, workers []*oocWorker, tiles []tile.Tile, ck *ckptManager, resumed bool) error {
-	n := store.Rows()
-
-	// Phase 3: pooled-null threshold over sampled pairs. Each permuted
-	// MI value is bit-identical to the resident computation and the
-	// pooled Null is order-independent, so the threshold matches the
-	// resident engines exactly.
-	var errMu sync.Mutex
-	var scanErr error
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if scanErr == nil {
-			scanErr = err
-		}
-		errMu.Unlock()
-	}
-	firstErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return scanErr
-	}
-	if resumed {
-		res.Threshold = ck.state.Threshold
-		res.NullSize = ck.state.NullSize
-	} else {
-		res.Timer.Time("threshold", func() {
-			count := cfg.NullSamplePairs
-			if max := tile.TotalPairs(n); count > max {
-				count = max
-			}
-			pairs := sampleNullPairs(cfg.Seed, n, count)
-			nw := cfg.Workers
-			if nw > len(pairs) && len(pairs) > 0 {
-				nw = len(pairs)
-			}
-			nulls := make([]perm.Null, nw)
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					wk := workers[w]
-					lo := w * len(pairs) / nw
-					hi := (w + 1) * len(pairs) / nw
-					for _, pr := range pairs[lo:hi] {
-						if ctx.Err() != nil {
-							return
-						}
-						if err := wk.loadPair(store, pr[0], pr[1]); err != nil {
-							fail(err)
-							return
-						}
-						wk.pk.nullForPairs([][2]int{{0, 1}}, wk.ws, &nulls[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			pooled := &perm.Null{}
-			for w := range nulls {
-				pooled.Merge(&nulls[w])
-			}
-			res.NullSize = pooled.Len()
-			if pooled.Len() > 0 {
-				res.Threshold = pooled.Threshold(cfg.Alpha)
-			}
-		})
-		if err := firstErr(); err != nil {
-			return err
-		}
-		if ck != nil {
-			ck.state.Threshold = res.Threshold
-			ck.state.NullSize = res.NullSize
-		}
-	}
-	for _, wk := range workers {
-		wk.pk.thresh = res.Threshold
-	}
-
-	// Phase 4: tile scan over the pending tiles.
-	pending := make([]int, 0, len(tiles))
-	for i := range tiles {
-		if ck == nil || !ck.state.Done[i] {
-			pending = append(pending, i)
-		}
-	}
-	evalsPerTile := make([]int64, len(tiles))
-	busy := make([]float64, cfg.Workers)
-	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalSkipped int64
-	var cacheHits, cacheMisses int64
-	var tilesDone int64
-	res.Timer.Time("mi", func() {
-		sched := tile.NewScheduler(cfg.Policy, len(pending), cfg.Workers)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wk := workers[w]
-				var hits0, misses0 int64
-				if wk.pc != nil {
-					hits0, misses0 = wk.pc.Hits(), wk.pc.Misses()
-				}
-				start := time.Now()
-				var local []grn.Edge
-				var evals, permEvals, skipped int64
-				for {
-					pi := sched.Next(w)
-					if pi == -1 || ctx.Err() != nil {
-						break
-					}
-					ti := pending[pi]
-					t := tiles[ti]
-					var endSpan func()
-					if cfg.Trace != nil {
-						endSpan = cfg.Trace.Span(w, fmt.Sprintf("tile-%d %s", ti, t))
-					}
-					jBase, err := wk.loadTile(store, t)
-					if err != nil {
-						fail(err)
-						break
-					}
-					var tilePairEvals, tilePermEvals int64
-					var tileEdges []grn.Edge
-					t.ForEachPair(func(i, j int) {
-						obs, sig, ev, pe, sk := wk.pk.decide(i-t.I0, j-t.J0+jBase, wk.ws, wk.pc)
-						tilePairEvals += ev
-						tilePermEvals += pe
-						skipped += sk
-						if sig {
-							tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
-						}
-					})
-					tileEvals := tilePairEvals + tilePermEvals
-					atomic.AddInt64(&evalsPerTile[ti], tileEvals)
-					evals += tilePairEvals
-					permEvals += tilePermEvals
-					if ck != nil {
-						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileEdges)
-					} else {
-						local = append(local, tileEdges...)
-					}
-					if endSpan != nil {
-						endSpan()
-					}
-					if cfg.Trace != nil {
-						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
-						if wk.pc != nil {
-							cfg.Trace.Counter(w, "permcache_hits", float64(wk.pc.Hits()))
-						}
-					}
-					if cfg.Progress != nil {
-						cfg.Progress(int(atomic.AddInt64(&tilesDone, 1)), len(pending))
-					}
-				}
-				busy[w] = time.Since(start).Seconds()
-				edgesPerWorker[w] = local
-				atomic.AddInt64(&totalEvals, evals)
-				atomic.AddInt64(&totalPermEvals, permEvals)
-				atomic.AddInt64(&totalSkipped, skipped)
-				if wk.pc != nil {
-					atomic.AddInt64(&cacheHits, wk.pc.Hits()-hits0)
-					atomic.AddInt64(&cacheMisses, wk.pc.Misses()-misses0)
-				}
-			}(w)
-		}
-		wg.Wait()
-	})
-	if ck != nil {
-		if err := ck.flush(); err != nil {
-			return err
-		}
-	}
-	if err := firstErr(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res.PairsEvaluated = totalEvals
-	res.PermEvaluations = totalPermEvals
-	res.PermutationsSkipped = totalSkipped
-	res.PermCacheHits = cacheHits
-	res.PermCacheMisses = cacheMisses
-	res.Imbalance = tile.Imbalance(busy)
-
-	net := grn.New(n)
-	if ck != nil {
-		for _, e := range ck.state.Edges {
-			net.AddEdge(e.I, e.J, e.Weight)
-		}
-	} else {
-		for _, edges := range edgesPerWorker {
-			for _, e := range edges {
-				net.AddEdge(e.I, e.J, e.Weight)
-			}
-		}
-	}
-	res.Network = net
-	return nil
 }

@@ -467,7 +467,8 @@ func (d *Dataset) WriteTSV(w io.Writer) error {
 
 // ReadTSV parses a dataset written by WriteTSV (or any compatible
 // header+rows expression TSV). Ground truth is not represented in the
-// format, so Truth is empty.
+// format, so Truth is empty. Gene names must be unique: a repeated one
+// would pair the gene with itself and emit a self-loop edge.
 func ReadTSV(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -484,6 +485,7 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 	m := len(header) - 1
 	var genes []string
 	var rows [][]float32
+	seen := map[string]bool{}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -509,6 +511,10 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 			}
 			row[i] = float32(v)
 		}
+		if seen[fields[0]] {
+			return nil, fmt.Errorf("expr: line %d: duplicate gene %q", line, fields[0])
+		}
+		seen[fields[0]] = true
 		genes = append(genes, fields[0])
 		rows = append(rows, row)
 	}

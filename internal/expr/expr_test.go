@@ -187,11 +187,12 @@ func TestTSVRoundTrip(t *testing.T) {
 
 func TestReadTSVErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":        "",
-		"header-only":  "gene\tE0\n",
-		"short-header": "gene\n",
-		"ragged":       "gene\tE0\tE1\nG0\t1.0\n",
-		"bad-number":   "gene\tE0\nG0\tnotanumber\n",
+		"empty":          "",
+		"header-only":    "gene\tE0\n",
+		"short-header":   "gene\n",
+		"ragged":         "gene\tE0\tE1\nG0\t1.0\n",
+		"bad-number":     "gene\tE0\nG0\tnotanumber\n",
+		"duplicate-gene": "gene\tE0\nG0\t1\nG1\t2\nG0\t3\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTSV(strings.NewReader(in)); err == nil {

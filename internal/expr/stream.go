@@ -27,7 +27,7 @@ type RowSink func(gene string, row []float32) error
 // matrix. It returns the gene names (one per accepted row) and the
 // column count fixed by the header. Accept/reject behavior matches
 // ReadTSV/StreamTSV: NA/empty fields become NaN, blank lines are
-// skipped, ragged rows are errors.
+// skipped, ragged rows and repeated gene names are errors.
 func StreamTSVRows(r io.Reader, sink RowSink) (genes []string, cols int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -43,6 +43,7 @@ func StreamTSVRows(r io.Reader, sink RowSink) (genes []string, cols int, err err
 	}
 	m := len(header) - 1
 	rowBuf := make([]float32, m)
+	seen := map[string]bool{}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -79,6 +80,10 @@ func StreamTSVRows(r io.Reader, sink RowSink) (genes []string, cols int, err err
 			}
 			rowBuf[i] = float32(v)
 		}
+		if seen[gene] {
+			return nil, 0, fmt.Errorf("expr: line %d: duplicate gene %q", line, gene)
+		}
+		seen[gene] = true
 		if err := sink(gene, rowBuf); err != nil {
 			return nil, 0, err
 		}

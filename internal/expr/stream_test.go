@@ -47,6 +47,7 @@ func TestStreamTSVErrors(t *testing.T) {
 		"extra field":      "gene\tE0\nG0\t1\t2\n",
 		"bad number":       "gene\tE0\nG0\tnot-a-number\n",
 		"no gene rows":     "gene\tE0\n",
+		"duplicate-gene":   "gene\tE0\nG0\t1\nG1\t2\nG0\t3\n",
 	}
 	for name, input := range cases {
 		if _, err := StreamTSV(strings.NewReader(input)); err == nil {

@@ -203,6 +203,7 @@ func TestBadSubmissions(t *testing.T) {
 		{"prescreen=0", valid, "removed"},
 		{"permutations=0", valid, "at least 1"},
 		{"permutations=-3", valid, "at least 1"},
+		{"", "gene\tE0\nG0\t1\nG0\t2\n", `duplicate gene "G0"`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs?"+c.params, "text/plain", strings.NewReader(c.body))

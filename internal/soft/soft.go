@@ -214,7 +214,11 @@ func Parse(r io.Reader) (*File, error) {
 				for i := range vals {
 					vals[i] = parseValue(cols[i+2])
 				}
-				f.Dataset[strings.TrimSpace(cols[0])] = vals
+				id := strings.TrimSpace(cols[0])
+				if _, dup := f.Dataset[id]; dup {
+					return nil, fmt.Errorf("soft: line %d: duplicate ID_REF %q in dataset table", line, id)
+				}
+				f.Dataset[id] = vals
 			default:
 				return nil, fmt.Errorf("soft: line %d: unexpected data line outside any table", line)
 			}

@@ -130,6 +130,7 @@ func TestParseErrors(t *testing.T) {
 		"entity-in-table":    "^SAMPLE = s\n!sample_table_begin\nID_REF\tVALUE\n^SAMPLE = t\n",
 		"bad-dataset-header": "^DATASET = d\n!dataset_table_begin\nWRONG\tID\tGSM1\n!dataset_table_end\n",
 		"ragged-dataset":     "^DATASET = d\n!dataset_table_begin\nID_REF\tIDENTIFIER\tGSM1\nP1\tg\t1\t2\n!dataset_table_end\n",
+		"duplicate-id-ref":   "^DATASET = d\n!dataset_table_begin\nID_REF\tIDENTIFIER\tGSM1\nP1\tg\t1\nP1\th\t2\n!dataset_table_end\n",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
