@@ -225,15 +225,14 @@ func BenchmarkT3_EstimatorAccuracyKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkPermSweep contrasts the seed per-permutation decide loop
-// (a fresh counting sort and permutation gather per evaluation) with
-// the amortized sweep engine (i-side keys loaded once per pair; cached
+// BenchmarkPermSweep contrasts q separate permuted-MI evaluations (a
+// fresh counting sort and permutation gather each) with the mi
+// package's batched sweep (i-side keys loaded once per pair; the cached
 // variant additionally streams precomputed permuted offset+weight
 // rows). The observed MI is set above every permuted value so all q
-// permutations run — the worst case, and the regime where surviving
-// edges spend their time. The end-to-end counterpart (and the
-// BENCH_permsweep.json artifact) comes from
-// `go run ./cmd/benchsuite -exp PS`.
+// permutations run. The engines no longer run a per-pair permutation
+// test; the sweep kernels remain as the permutation-cost probe of the
+// end-to-end benchmark.
 func BenchmarkPermSweep(b *testing.B) {
 	const m, q = 337, 30
 	d := benchDataset(b, 16, m)

@@ -78,8 +78,9 @@ func loadOOCDoc(path string) (*oocDoc, error) {
 
 // compareOOC matches baseline rows to fresh rows by configuration and
 // reports every matched row whose overhead grew by more than
-// maxRegress (fractional). Unmatched baseline rows are ignored, as in
-// comparePS: a quick pass gates against a quick baseline.
+// maxRegress (fractional). Unmatched baseline rows are ignored: a quick
+// pass gates against a quick baseline, so a shape mismatch means the
+// suite sizes changed, not that performance moved.
 func compareOOC(baseline, fresh []oocRow, maxRegress float64) (regressions []string, matched int) {
 	type key struct{ genes, samples, perms int }
 	latest := make(map[key]oocRow, len(fresh))

@@ -1,6 +1,7 @@
 // Command tinge infers a gene regulatory network from an expression
-// TSV using the TINGe-Phi pipeline: B-spline mutual information with
-// permutation testing, on the host, simulated-Phi, or cluster engine.
+// TSV using the TINGe-Phi pipeline: B-spline mutual information cut at
+// a pooled permutation-null threshold, on the host, simulated-Phi,
+// hybrid, cluster, or out-of-core engine.
 //
 // Usage:
 //
@@ -31,7 +32,7 @@ func main() {
 		engine   = flag.String("engine", "host", "execution engine: host|phi|cluster|hybrid|ooc")
 		order    = flag.Int("order", 3, "B-spline order k")
 		bins     = flag.Int("bins", 10, "histogram bins b")
-		perms    = flag.Int("permutations", 30, "permutation-test count q")
+		perms    = flag.Int("permutations", 30, "permutations q per sampled null pair: sizes the pooled null behind the edge threshold")
 		alpha    = flag.Float64("alpha", 0.01, "significance level for the pooled-null threshold")
 		nullPair = flag.Int("null-pairs", 500, "pairs sampled for the pooled null")
 		dpi      = flag.Bool("dpi", false, "apply data-processing-inequality pruning")
@@ -309,14 +310,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tinge: %d genes x %d experiments, engine=%s\n", nGenes, mExps, *engine)
 	fmt.Fprintf(os.Stderr, "tinge: threshold I_alpha=%.4f (null size %d), edges=%d (raw %d)\n",
 		res.Threshold, res.NullSize, res.Network.Len(), res.RawEdges)
-	fmt.Fprintf(os.Stderr, "tinge: MI evaluations=%d (+%d permutation), imbalance=%.3f\n",
-		res.PairsEvaluated, res.PermEvaluations, res.Imbalance)
+	fmt.Fprintf(os.Stderr, "tinge: MI evaluations=%d, imbalance=%.3f\n", res.PairsEvaluated, res.Imbalance)
 	if res.Ensemble != nil {
 		fmt.Fprintf(os.Stderr, "tinge: ensemble: %d bootstraps (subsample %g, eseed %d), %d distinct edges, consensus %d at support >= %g\n",
 			res.Ensemble.Bootstraps(), eff.Ensemble.SubsampleFrac, eff.Ensemble.Seed,
 			res.Ensemble.Len(), res.Network.Len(), eff.Ensemble.SupportCutoff)
-		fmt.Fprintf(os.Stderr, "tinge: ensemble sharing: %d stencils reused, %d perm-cache hits\n",
-			res.EnsembleStencilsReused, res.PermCacheHits)
+		fmt.Fprintf(os.Stderr, "tinge: ensemble sharing: %d stencils reused\n", res.EnsembleStencilsReused)
 	}
 	if *dpi {
 		fmt.Fprintf(os.Stderr, "tinge: dpi(tol=%g): removed %d edge(s)\n", eff.DPITolerance, res.DPIEdgesRemoved)

@@ -17,7 +17,7 @@ import (
 const (
 	genes       = 15575
 	experiments = 3137
-	perms       = 3 // average permutations per pair after early exit
+	perms       = 3 // permutations per pair priced (TINGe's early-exit test)
 )
 
 func workload(dev tinge.Device) []tinge.Work {

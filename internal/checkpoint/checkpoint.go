@@ -70,6 +70,35 @@ type Fingerprint struct {
 	Bootstraps    int
 	SubsampleFrac float64
 	EnsembleSeed  uint64
+	// Rule is the significance rule the saved edges were cut with.
+	// Checkpoints of earlier releases decode to RulePerPair, so they
+	// never resume into a network cut under a different rule.
+	Rule Rule
+}
+
+// Rule names how a scan decides that a pair is an edge.
+type Rule uint8
+
+const (
+	// RulePerPair is the rule of earlier releases: MI at or above the
+	// pooled-null threshold AND above each of the pair's own q
+	// permuted MIs. It is the zero value, what their checkpoints decode to.
+	RulePerPair Rule = iota
+	// RulePooledNull is TINGe's single cut: MI at or above the
+	// pooled-null threshold. Every scan of this release sets it.
+	RulePooledNull
+)
+
+// String names the rule.
+func (r Rule) String() string {
+	switch r {
+	case RulePerPair:
+		return "per-pair permutation test"
+	case RulePooledNull:
+		return "pooled-null threshold"
+	default:
+		return fmt.Sprintf("rule(%d)", uint8(r))
+	}
 }
 
 // State is the resumable scan state.
@@ -140,6 +169,10 @@ func (s *State) PendingTiles() []int {
 // Validate reports whether the state belongs to a run with the given
 // fingerprint and tile count.
 func (s *State) Validate(fp Fingerprint, nTiles int) error {
+	if s.Fingerprint.Rule != fp.Rule {
+		return fmt.Errorf("checkpoint: saved edges were cut by the %v, this run cuts by the %v; delete the checkpoint to rescan",
+			s.Fingerprint.Rule, fp.Rule)
+	}
 	if s.Fingerprint != fp {
 		return fmt.Errorf("checkpoint: fingerprint mismatch: saved %+v, run %+v", s.Fingerprint, fp)
 	}

@@ -139,7 +139,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		start := time.Now()
 		err := mpi.RunOpts(ctx, alive, mpi.Options{Fault: cfg.Fault}, func(c *mpi.Comm) error {
 			k := newPairKernel(wm, cfg)
-			sw := scanWorker{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)}
+			sw := scanWorker{k: k, ws: k.newWorkspace()}
 
 			// Phase 3 (distributed): this rank's cyclic share of the null
 			// sample, all-gathered. Skipped when a prior attempt or a

@@ -1,6 +1,7 @@
 // Package core implements the TINGe-Phi pipeline — the paper's primary
 // contribution: whole-genome mutual-information network construction
-// with permutation testing, parallelized across multi-level hardware.
+// cut at a pooled permutation-null threshold, parallelized across
+// multi-level hardware.
 //
 // Pipeline phases (matching the paper/TINGe):
 //
@@ -8,11 +9,10 @@
 //  2. precompute: evaluate B-spline weights once per (gene, sample).
 //  3. threshold: estimate the global significance threshold I_alpha
 //     from the pooled null distribution of a deterministic sample of
-//     permuted pairs.
-//  4. mi: for every pair (i<j), compute MI; pairs below I_alpha are
-//     rejected immediately, pairs above run the per-pair permutation
-//     check (the observed MI must exceed all q permuted MIs) with
-//     early exit — this is the skew that motivates dynamic scheduling.
+//     permuted pairs (q permutations each).
+//  4. mi: for every pair (i<j), compute MI; a pair is an edge when its
+//     MI reaches I_alpha — TINGe's single pooled-null cut, with no
+//     per-pair permutation test.
 //  5. dpi: optional data-processing-inequality pruning of the
 //     resulting network.
 //
@@ -167,7 +167,7 @@ const (
 // the consensus network keeps edges whose frequency reaches
 // SupportCutoff. The expensive whole-genome apparatus — rank
 // normalization, the B-spline stencil precompute, the permutation
-// pool, and each worker's estimator arenas and permuted-row cache — is
+// pool, and each worker's estimator arenas — is
 // built once and shared across all bootstraps; each bootstrap only
 // gathers a column view of the precomputed weights.
 //
@@ -233,7 +233,10 @@ type Config struct {
 	Order int
 	// Bins is the histogram size b (default 10).
 	Bins int
-	// Permutations is q, the permutation-test count (default 30).
+	// Permutations is q, the number of permutations each sampled null
+	// pair contributes to the pooled null behind I_alpha (default 30).
+	// Together with NullSamplePairs it sizes that null; phase 4 runs no
+	// per-pair permutation test.
 	Permutations int
 	// Alpha is the significance level for the pooled-null threshold
 	// (default 0.01).
@@ -274,12 +277,6 @@ type Config struct {
 	Kernel KernelKind
 	// Precision selects the MI compute precision (default Float64).
 	Precision Precision
-	// LegacyPermutation disables the amortized permutation-sweep engine
-	// and runs the original per-permutation decide loop (a fresh kernel
-	// setup and permutation gather per evaluation). The two paths emit
-	// bit-identical networks for equal seeds; the flag exists for
-	// before/after benchmarking and equivalence testing.
-	LegacyPermutation bool
 	// Progress, when non-nil, is invoked after every completed pair
 	// tile with (tilesDone, tilesTotal). It is called concurrently from
 	// worker goroutines (cluster ranks) and must be safe for concurrent
@@ -324,7 +321,7 @@ type Config struct {
 
 	// MemoryBudget caps the out-of-core scan's total in-memory working
 	// set in bytes: resident store panels plus every worker's scratch
-	// (workspace, permuted-row cache arena, panel weight matrix, and
+	// (workspace, panel weight matrix, and
 	// the store's fixed ingest buffers). Result.PeakTileBytes reports
 	// the realized ceiling, which stays <= the budget. Used by the
 	// OutOfCore engine (default 64 MiB there); setting it > 0 on the
@@ -371,7 +368,9 @@ type Config struct {
 	FS diskfault.FS
 }
 
-// Validate fills defaults and rejects inconsistent settings.
+// Validate fills defaults and rejects inconsistent settings, NaN
+// included. A validated config is a fixed point: validating it again
+// changes nothing.
 func (c *Config) Validate() error {
 	if c.Order == 0 {
 		c.Order = 3
@@ -394,7 +393,7 @@ func (c *Config) Validate() error {
 	if c.Alpha == 0 {
 		c.Alpha = 0.01
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	if !(c.Alpha > 0 && c.Alpha < 1) {
 		return fmt.Errorf("core: alpha %v out of (0,1)", c.Alpha)
 	}
 	if c.NullSamplePairs == 0 {
@@ -406,13 +405,13 @@ func (c *Config) Validate() error {
 	if c.DPITolerance < 0 {
 		c.DPITolerance = DefaultDPITolerance
 	}
-	if c.DPITolerance >= 1 {
+	if !(c.DPITolerance < 1) {
 		return fmt.Errorf("core: DPI tolerance %v out of [0,1)", c.DPITolerance)
 	}
 	if c.CMIRatio == 0 {
 		c.CMIRatio = DefaultCMIRatio
 	}
-	if c.CMIRatio < 0 || c.CMIRatio > 1 {
+	if !(c.CMIRatio > 0 && c.CMIRatio <= 1) {
 		return fmt.Errorf("core: CMI ratio %v out of (0,1]", c.CMIRatio)
 	}
 	if c.Workers == 0 {
@@ -455,13 +454,13 @@ func (c *Config) Validate() error {
 		if e.SubsampleFrac == 0 {
 			e.SubsampleFrac = DefaultSubsampleFrac
 		}
-		if e.SubsampleFrac < 0 || e.SubsampleFrac > 1 {
+		if !(e.SubsampleFrac > 0 && e.SubsampleFrac <= 1) {
 			return fmt.Errorf("core: subsample fraction %v out of (0,1]", e.SubsampleFrac)
 		}
 		if e.SupportCutoff == 0 {
 			e.SupportCutoff = DefaultSupportCutoff
 		}
-		if e.SupportCutoff < 0 || e.SupportCutoff > 1 {
+		if !(e.SupportCutoff > 0 && e.SupportCutoff <= 1) {
 			return fmt.Errorf("core: support cutoff %v out of (0,1]", e.SupportCutoff)
 		}
 		if e.Start < 0 || e.Count < 0 {
@@ -516,7 +515,9 @@ func (c *Config) Validate() error {
 			c.MaxRecoveries = c.Ranks - 1
 		}
 		if c.MaxRecoveries < 0 {
-			c.MaxRecoveries = 0 // -1 and below: recovery disabled
+			// Any negative value disables recovery. It resolves to -1,
+			// not 0: a second Validate would read 0 as unset.
+			c.MaxRecoveries = -1
 		}
 	}
 	switch c.Engine {
@@ -581,9 +582,10 @@ type Result struct {
 	// pairs — one per scanned pair. Permutation evaluations are counted
 	// separately in PermEvaluations.
 	PairsEvaluated int64
-	// PermEvaluations counts permuted-MI kernel evaluations actually
-	// computed during phase 4 (the per-pair permutation checks; the
-	// pooled-null phase is not included).
+	// PermEvaluations counts permuted-MI kernel evaluations computed
+	// during phase 4. It is always 0: phase 4 runs no per-pair
+	// permutation test. Phase 3's pooled null costs NullSize permuted
+	// evaluations, which are not counted here.
 	PermEvaluations int64
 	// NullSize is the pooled null distribution size.
 	NullSize int
@@ -602,18 +604,16 @@ type Result struct {
 	HybridPhiShare float64
 	// Imbalance is max/mean per-worker busy time for phase 4.
 	Imbalance float64
-	// PermCacheHits and PermCacheMisses count lookups of the worker
-	// permuted-row caches during phase 4 (0 on the legacy path and for
-	// the vectorized kernel, which does not use the cache). A miss
-	// materializes a gene's q permuted offset+weight rows; a hit reuses
-	// them — the tile-level amortization at work.
+	// PermCacheHits, PermCacheMisses and PermutationsSkipped are always
+	// 0. They counted the permuted-row cache and the early exit of the
+	// per-pair permutation test, which phase 4 no longer runs; the
+	// fields stay so existing callers and wire formats still compile
+	// and decode.
 	PermCacheHits, PermCacheMisses int64
-	// PermutationsSkipped counts permutation evaluations avoided by the
-	// early exit during phase 4 (summed over pairs that entered the
-	// permutation test).
-	PermutationsSkipped int64
+	PermutationsSkipped            int64
 	// PeakTileBytes is the largest per-worker tile working set of
-	// phase 4: workspace scratch plus the permuted-row cache arena. It
+	// phase 4: the workspace scratch (plus, out of core, the worker's
+	// panel weights and row buffers). It
 	// is the number the per-tile memory budget must bound — the quantity
 	// the float32 path exists to shrink.
 	PeakTileBytes int64

@@ -277,8 +277,10 @@ func TestPhiEngineSimulatedTime(t *testing.T) {
 
 func TestPhiThreadsPerCoreShape(t *testing.T) {
 	// Needs tiles >> cores and a compute-dominated kernel so the
-	// issue-gap effect is visible through the offload pipeline.
-	d := testDataset(t, 64, 500, 7)
+	// issue-gap effect is visible through the offload pipeline. With one
+	// MI evaluation per pair, 160 genes keep compute ahead of the
+	// offload transfers.
+	d := testDataset(t, 160, 500, 7)
 	sim := func(tpc int) float64 {
 		cfg := Config{
 			Engine: Phi, Seed: 2, Permutations: 20, Workers: 4,

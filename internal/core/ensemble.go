@@ -92,9 +92,6 @@ func foldBootstrapResult(res, bres *Result) {
 	res.NullSize = bres.NullSize
 	res.PairsEvaluated += bres.PairsEvaluated
 	res.PermEvaluations += bres.PermEvaluations
-	res.PermutationsSkipped += bres.PermutationsSkipped
-	res.PermCacheHits += bres.PermCacheHits
-	res.PermCacheMisses += bres.PermCacheMisses
 	res.SimSeconds += bres.SimSeconds
 	res.SimTransferSeconds += bres.SimTransferSeconds
 	res.Messages += bres.Messages

@@ -108,10 +108,10 @@ func sameSupportStructure(t *testing.T, label string, a, b *Result) {
 // TestEnsembleGoldenEquivalence is the ensemble determinism anchor:
 // for a fixed (seed, bootstrap, subsample) configuration the support
 // matrix, per-bootstrap thresholds, and consensus network are
-// bit-identical across all five engines, every worker count, the
-// legacy permutation path, and resume from a
-// mid-ensemble checkpoint — and structurally identical (exact support
-// counts, drift-bounded weights) across compute precisions.
+// bit-identical across all five engines, every worker count, and
+// resume from a mid-ensemble checkpoint — and structurally identical
+// (exact support counts, drift-bounded weights) across compute
+// precisions.
 func TestEnsembleGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble golden matrix is not short")
@@ -161,18 +161,6 @@ func TestEnsembleGoldenEquivalence(t *testing.T) {
 				identicalEnsembles(t, label, res, baselines[prec])
 			}
 		}
-	}
-
-	// Legacy permutation path: same networks, no permuted-row cache.
-	legacy := ensembleBaseCfg()
-	legacy.LegacyPermutation = true
-	lres, err := Infer(d.Expr, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalEnsembles(t, "legacy", lres, baselines[Float64])
-	if lres.PermCacheHits != 0 || lres.PermCacheMisses != 0 {
-		t.Fatalf("legacy path used the perm cache: %d/%d", lres.PermCacheHits, lres.PermCacheMisses)
 	}
 }
 
@@ -285,9 +273,8 @@ func TestEnsemblePartialRanges(t *testing.T) {
 }
 
 // TestEnsembleAmortization pins the sharing the ensemble exists for:
-// permuted-row cache hits and reused stencils grow with the bootstrap
-// count, and the filters run per bootstrap (removal counters
-// accumulate across bootstraps).
+// reused stencils grow with the bootstrap count, and the filters run
+// per bootstrap (removal counters accumulate across bootstraps).
 func TestEnsembleAmortization(t *testing.T) {
 	d := testDataset(t, 20, 48, 9)
 	run := func(b int) *Result {
@@ -300,13 +287,6 @@ func TestEnsembleAmortization(t *testing.T) {
 		return res
 	}
 	one, four := run(1), run(4)
-	if one.PermCacheHits <= 0 {
-		t.Fatalf("single bootstrap recorded no perm-cache hits (%d)", one.PermCacheHits)
-	}
-	if four.PermCacheHits <= one.PermCacheHits {
-		t.Fatalf("perm-cache hits did not grow across bootstraps: B=1 %d, B=4 %d",
-			one.PermCacheHits, four.PermCacheHits)
-	}
 	mSub := 36 // round(0.75 * 48)
 	if want := int64(1 * 20 * mSub); one.EnsembleStencilsReused != want {
 		t.Fatalf("B=1 reused %d stencils, want %d", one.EnsembleStencilsReused, want)

@@ -32,14 +32,14 @@ func fingerprintDims(genes, samples int, cfg Config) checkpoint.Fingerprint {
 		Bootstraps:      cfg.Ensemble.Bootstraps,
 		SubsampleFrac:   cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:    cfg.Ensemble.Seed,
+		Rule:            checkpoint.RulePooledNull,
 	}
 }
 
 // scanKit is the resident host pool's scan apparatus: one kernel
-// (estimator + permutation pool) and one workspace and permuted-row
-// cache per worker. The ensemble loop builds it once for the first
-// bootstrap and rebinds — never reallocates — it for every subsequent
-// one. The permutation pool never rebinds at all: the subsample size is
+// (estimator + permutation pool) and one workspace per worker. The
+// ensemble loop builds it once for the first bootstrap and rebinds —
+// never reallocates — it for every subsequent one. The permutation pool never rebinds at all: the subsample size is
 // constant across bootstraps, so the same permuted index sets apply to
 // every bootstrap's view.
 type scanKit struct {
@@ -56,23 +56,20 @@ func newScanKit(wm *bspline.WeightMatrix, cfg Config) *scanKit {
 	// (2 workers, n=400, m=128, q=30 on a 2-vCPU VM; medians of 8
 	// interleaved runs), as scratch shared between cores would.
 	fanOut(cfg.Workers, func(w int) error {
-		kit.workers[w] = scanWorker{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)}
+		kit.workers[w] = scanWorker{k: k, ws: k.newWorkspace()}
 		return nil
 	})
 	return kit
 }
 
 // rebind points the kit at a refilled weight-matrix view: marginal
-// entropies are recomputed and every index-dependent cache is
-// invalidated (a stale row key or permuted-row entry would alias the
-// previous bootstrap's gene values).
+// entropies are recomputed and every workspace's row keys are
+// invalidated (a stale key would alias the previous bootstrap's gene
+// values).
 func (kit *scanKit) rebind(wm *bspline.WeightMatrix) {
 	kit.k.est.Reset(wm)
 	for _, sw := range kit.workers {
 		sw.ws.InvalidateRowKeys()
-		if sw.pc != nil {
-			sw.pc.Rebind(kit.k.est)
-		}
 	}
 }
 

@@ -9,23 +9,22 @@ import (
 
 // pairKernel bundles the estimator, permutation pool, and kernel choice
 // shared by all engines. It is immutable and safe for concurrent use
-// with per-goroutine workspaces (and per-goroutine permutation caches).
+// with per-goroutine workspaces. The pool's permutations feed only the
+// pooled null (phase 3); phase 4 compares observed MI to its threshold.
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
 	kind   KernelKind
 	prec   Precision
-	legacy bool    // per-permutation seed path instead of the batched sweep
 	thresh float64 // I_alpha; 0 during the threshold-estimation phase
 }
 
 func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
 	return &pairKernel{
-		est:    mi.NewEstimatorParallel(wm, cfg.Workers),
-		pool:   perm.MustNewPool(cfg.Seed, wm.Samples, cfg.Permutations),
-		kind:   cfg.Kernel,
-		prec:   cfg.Precision,
-		legacy: cfg.LegacyPermutation,
+		est:  mi.NewEstimatorParallel(wm, cfg.Workers),
+		pool: perm.MustNewPool(cfg.Seed, wm.Samples, cfg.Permutations),
+		kind: cfg.Kernel,
+		prec: cfg.Precision,
 	}
 }
 
@@ -34,19 +33,6 @@ func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
 // accumulator (half the bytes), the float64 path a float64 one.
 func (k *pairKernel) newWorkspace() *mi.Workspace {
 	return mi.NewWorkspacePrec(k.est, k.prec)
-}
-
-// newPermCache builds the worker-local permuted-row cache for the sweep
-// path. It returns nil when the cache cannot pay off: on the legacy
-// path, or for the vectorized kernel (whose sweep amortizes the
-// dense-row resolution instead of offset rows). Capacity is one tile's
-// worth of column genes — a tile touches at most TileSize distinct j
-// genes, so entries live exactly as long as they are useful.
-func (k *pairKernel) newPermCache(cfg Config) *mi.PermCache {
-	if k.legacy || k.kind == KernelVec {
-		return nil
-	}
-	return mi.NewPermCache(k.est, k.pool.Perms(), cfg.TileSize)
 }
 
 // miPair computes the unpermuted MI of pair (i, j).
@@ -58,8 +44,6 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 		case KernelVec:
 			return k.est.PairVec32(i, j, ws)
 		default:
-			// The blocked formulation subsumes the counting-sort one on
-			// the float32 path (no legacy bit-identity to preserve).
 			return k.est.PairBlocked32(i, j, ws)
 		}
 	}
@@ -69,9 +53,6 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 	case KernelVec:
 		return k.est.PairVec(i, j, ws)
 	default:
-		if k.legacy {
-			return k.est.PairBucketed(i, j, ws)
-		}
 		return k.est.PairBlocked(i, j, ws)
 	}
 }
@@ -98,66 +79,11 @@ func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
 	}
 }
 
-// decide evaluates pair (i, j) fully: the observed MI, the global
-// threshold cut, and — for survivors — the per-pair permutation check
-// with early exit (the observed value must strictly exceed every
-// permuted value, i.e. empirical p < 1/(q+1)).
-//
-// It returns the observed MI, whether the edge is significant, the
-// number of exact-kernel pair evaluations spent (always 1), the number
-// of permutation evaluations actually computed (identical between the
-// sweep and legacy paths, since both stop at the first permuted
-// MI >= obs), and the number of permutations the early exit skipped
-// (q minus the permutations computed, 0 for pairs cut by the
-// threshold).
-//
-// pc, when non-nil, is this goroutine's permuted-row cache; the sweep
-// kernels stream gene j's cached rows instead of gathering through the
-// permutation per evaluation. Results are bit-identical with or without
-// the cache.
-func (k *pairKernel) decide(i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs float64, significant bool, evals, permEvals, skipped int64) {
+// decide evaluates pair (i, j): its observed MI and whether it reaches
+// the pooled-null threshold I_alpha — TINGe's one significance rule.
+func (k *pairKernel) decide(i, j int, ws *mi.Workspace) (obs float64, significant bool) {
 	obs = k.miPair(i, j, ws)
-	evals = 1
-	if obs < k.thresh {
-		return obs, false, evals, 0, 0
-	}
-	q := k.pool.Q()
-	if k.legacy {
-		for p := 0; p < q; p++ {
-			permEvals++
-			if k.miPermuted(i, j, p, ws) >= obs {
-				return obs, false, evals, permEvals, int64(q - p - 1)
-			}
-		}
-		return obs, true, evals, permEvals, 0
-	}
-	perms := k.pool.Perms()
-	var poffs []int32
-	var pw []float32
-	if pc != nil {
-		poffs, pw = pc.Gene(j)
-	}
-	var done int
-	if k.prec == Float32 {
-		switch k.kind {
-		case KernelScalar:
-			done, significant = k.est.SweepScalar32(i, j, obs, perms, poffs, pw, ws)
-		case KernelVec:
-			done, significant = k.est.SweepVec32(i, j, obs, perms, ws)
-		default:
-			done, significant = k.est.SweepBucketed32(i, j, obs, perms, poffs, pw, ws)
-		}
-	} else {
-		switch k.kind {
-		case KernelScalar:
-			done, significant = k.est.SweepScalar(i, j, obs, perms, poffs, pw, ws)
-		case KernelVec:
-			done, significant = k.est.SweepVec(i, j, obs, perms, ws)
-		default:
-			done, significant = k.est.SweepBucketed(i, j, obs, perms, poffs, pw, ws)
-		}
-	}
-	return obs, significant, evals, int64(done), int64(q - done)
+	return obs, obs >= k.thresh
 }
 
 // sampleNullPairs deterministically selects count distinct pairs (i<j)

@@ -55,12 +55,12 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 
 // oocWorker is one worker's fixed-size apparatus for the out-of-core
 // scan. Nothing in it scales with the gene count: the weight matrix,
-// estimator, workspace, and permuted-row cache are all sized to one
-// tile (at most 2·TileSize genes), and every tile re-fills them in
-// place. Bit-identity with the resident engines follows from the
-// shared building blocks: the same rank transform per row, the same
-// stencil precompute per gene, the same kernels — only the gene
-// indices are tile-local.
+// estimator, and workspace are all sized to one tile (at most
+// 2·TileSize genes), and every tile re-fills them in place.
+// Bit-identity with the resident engines follows from the shared
+// building blocks: the same rank transform per row, the same stencil
+// precompute per gene, the same kernels — only the gene indices are
+// tile-local.
 type oocWorker struct {
 	scanWorker
 	tileWM  *bspline.WeightMatrix
@@ -87,15 +87,9 @@ func newOOCWorker(basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int
 	}
 	tileWM := bspline.NewPanelWeights(basis, 2*cfg.TileSize, width)
 	est := mi.NewEstimator(tileWM)
-	k := &pairKernel{
-		est:    est,
-		pool:   pool,
-		kind:   cfg.Kernel,
-		prec:   cfg.Precision,
-		legacy: cfg.LegacyPermutation,
-	}
+	k := &pairKernel{est: est, pool: pool, kind: cfg.Kernel, prec: cfg.Precision}
 	w := &oocWorker{
-		scanWorker: scanWorker{k: k, ws: mi.NewWorkspacePrec(est, cfg.Precision), pc: k.newPermCache(cfg)},
+		scanWorker: scanWorker{k: k, ws: mi.NewWorkspacePrec(est, cfg.Precision)},
 		tileWM:     tileWM,
 		normBuf:    make([]float32, 2*cfg.TileSize*width),
 		rows:       make([][]float32, 0, 2*cfg.TileSize),
@@ -113,9 +107,6 @@ func newOOCWorker(basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int
 func (w *oocWorker) bytes(basis *bspline.Basis, cfg Config) int64 {
 	b := bspline.PanelBytes(basis, 2*cfg.TileSize, w.samples)
 	b += int64(w.ws.Bytes())
-	if w.pc != nil {
-		b += int64(w.pc.Bytes())
-	}
 	b += int64(len(w.normBuf)) * 4
 	b += int64(len(w.fullBuf)) * 4
 	b += int64(2*cfg.TileSize) * 12 // estimator marginal-entropy slices
@@ -145,11 +136,10 @@ func (w *oocWorker) stage(p *panelstore.Panel, g, r int) {
 
 // loadTile is the worker's row binding: it pins the tile's panels,
 // stages its i-rows (and, off the diagonal, its j-rows after them), and
-// re-derives weights, marginal entropies, and cache bindings for the
-// staged rows. Every index-dependent cache is invalidated: local
-// indices mean a stale row key or permuted-row entry would alias a
-// different gene. It returns the global-to-local index offsets; on a
-// diagonal tile both ranges are the same staged rows.
+// re-derives weights and marginal entropies for the staged rows. The
+// workspace's row keys are invalidated: local indices mean a stale key
+// would alias a different gene. It returns the global-to-local index
+// offsets; on a diagonal tile both ranges are the same staged rows.
 func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (di, dj int, err error) {
 	w.rows = w.rows[:0]
 	pinI, err := store.Panel(store.PanelOf(t.I0))
@@ -182,9 +172,6 @@ func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (di, dj int, 
 	w.tileWM.FillPanel(w.rows)
 	w.k.est.Reset(w.tileWM)
 	w.ws.InvalidateRowKeys()
-	if w.pc != nil {
-		w.pc.Rebind(w.k.est)
-	}
 	return t.I0, dj, nil
 }
 

@@ -44,17 +44,9 @@ func runPhi(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Resu
 
 	items := make([]phi.Work, len(tiles))
 	for ti, tl := range tiles {
-		pairs := tl.Pairs()
-		avgPerms := 0
-		if pairs > 0 {
-			avgPerms = int(evalsPerTile[ti])/pairs - 1
-			if avgPerms < 0 {
-				avgPerms = 0
-			}
-		}
 		stall := dev.TileCost(phi.KernelParams{
-			Pairs: pairs, Samples: wm.Samples, Order: cfg.Order,
-			Bins: cfg.Bins, Perms: avgPerms, Vectorized: vectorized,
+			Pairs: tl.Pairs(), Samples: wm.Samples, Order: cfg.Order,
+			Bins: cfg.Bins, Vectorized: vectorized,
 		}).StallCycles
 		items[ti] = phi.Work{
 			ComputeCycles: float64(evalsPerTile[ti]) * unit,

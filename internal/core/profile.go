@@ -21,8 +21,8 @@ import (
 type Profile struct {
 	// Tiles is the pair decomposition profiled.
 	Tiles []tile.Tile
-	// EvalsPerTile[i] is the MI kernel evaluations tile i needed
-	// (pairs plus permutation tests actually run).
+	// EvalsPerTile[i] is the MI kernel evaluations tile i needed: one
+	// per pair.
 	EvalsPerTile []int64
 	// EvalSeconds is the measured mean wall time of one MI evaluation.
 	EvalSeconds float64

@@ -24,12 +24,11 @@ import (
 // how a worker binds a tile's rows (resident, or staged from the
 // out-of-core panel store).
 
-// scanWorker is one worker's scan apparatus: a kernel, its workspace,
-// and its permuted-row cache (nil when the cache cannot pay off).
+// scanWorker is one worker's scan apparatus: a kernel and its
+// workspace.
 type scanWorker struct {
 	k  *pairKernel
 	ws *mi.Workspace
-	pc *mi.PermCache
 	// bind, when non-nil, makes tile t's rows available to k and
 	// returns the offsets that map a global pair (i, j) to the kernel's
 	// local indices (i-di, j-dj). nil means resident rows with global
@@ -55,21 +54,17 @@ func (sw scanWorker) nullPair(a, b int, null *perm.Null) error {
 
 // workerStats is one worker's account of a tile scan.
 type workerStats struct {
-	busy                   float64    // seconds inside the tile loop
-	cacheHits, cacheMisses int64      // this scan's permuted-row cache deltas
-	tileBytes              int64      // workspace plus cache arena
-	edges                  []grn.Edge // committed edges: a cluster rank's gather payload
+	busy      float64    // seconds inside the tile loop
+	tileBytes int64      // workspace scratch
+	edges     []grn.Edge // committed edges: a cluster rank's gather payload
 }
 
-// foldWorkers publishes the per-worker accounts: cache counters sum,
-// the tile working set takes the largest worker's, and the imbalance
-// is max/mean busy time.
+// foldWorkers publishes the per-worker accounts: the tile working set
+// takes the largest worker's, and the imbalance is max/mean busy time.
 func foldWorkers(res *Result, stats []workerStats) {
 	busy := make([]float64, len(stats))
 	for w, st := range stats {
 		busy[w] = st.busy
-		res.PermCacheHits += st.cacheHits
-		res.PermCacheMisses += st.cacheMisses
 		if st.tileBytes > res.PeakTileBytes {
 			res.PeakTileBytes = st.tileBytes
 		}
@@ -164,10 +159,10 @@ type tileLog struct {
 	state   *checkpoint.State
 	resumed bool // state came from a valid checkpoint, threshold included
 
-	// This session's committed work: the Result counters. Tiles an
-	// earlier session committed are not counted; tiles an aborted
+	// This session's committed work: the PairsEvaluated counter. Tiles
+	// an earlier session committed are not counted; tiles an aborted
 	// cluster attempt committed in this session are.
-	pairEvals, permEvals, skipped int64
+	pairEvals int64
 
 	fsys      diskfault.FS
 	path      string
@@ -228,18 +223,16 @@ func (l *tileLog) pending(lo, hi int) []int {
 }
 
 // commit records a finished tile and persists opportunistically.
-// EvalsPerTile keeps the combined exact+permutation count (the Phi time
-// model's quantity); the split is persisted alongside.
-func (l *tileLog) commit(ti int, pairEvals, permEvals, skipped int64, edges []grn.Edge) {
+// EvalsPerTile is the Phi time model's quantity; with no per-pair
+// permutation test it equals the exact-kernel count PairEvalsPerTile.
+func (l *tileLog) commit(ti int, pairEvals int64, edges []grn.Edge) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.state.Done[ti] = true
-	l.state.EvalsPerTile[ti] = pairEvals + permEvals
+	l.state.EvalsPerTile[ti] = pairEvals
 	l.state.PairEvalsPerTile[ti] = pairEvals
 	l.state.Edges = append(l.state.Edges, edges...)
 	l.pairEvals += pairEvals
-	l.permEvals += permEvals
-	l.skipped += skipped
 	if l.path == "" {
 		return
 	}
@@ -270,8 +263,6 @@ func (l *tileLog) flush() error {
 // committed tile, this session's and earlier ones'.
 func (l *tileLog) publish(res *Result, n int) {
 	res.PairsEvaluated = l.pairEvals
-	res.PermEvaluations = l.permEvals
-	res.PermutationsSkipped = l.skipped
 	net := grn.New(n)
 	for _, e := range l.state.Edges {
 		net.AddEdge(e.I, e.J, e.Weight)
@@ -304,13 +295,7 @@ func newTileScan(cfg Config, tiles []tile.Tile, log *tileLog, pending []int) *ti
 // stops when sched runs dry or stop reports an error, which it returns.
 func (s *tileScan) run(w int, sched tile.Scheduler, stop func() error, sw scanWorker) (st workerStats, err error) {
 	st.tileBytes = int64(sw.ws.Bytes())
-	var hits0, misses0 int64
-	if sw.pc != nil {
-		st.tileBytes += int64(sw.pc.Bytes())
-		hits0, misses0 = sw.pc.Hits(), sw.pc.Misses()
-	}
 	start := time.Now()
-	var skipped int64
 	for {
 		pi := sched.Next(w)
 		if pi == -1 {
@@ -331,40 +316,21 @@ func (s *tileScan) run(w int, sched tile.Scheduler, stop func() error, sw scanWo
 				break
 			}
 		}
-		var pairEvals, permEvals, tileSkipped int64
 		var edges []grn.Edge
 		t.ForEachPair(func(i, j int) {
-			obs, sig, ev, pe, sk := sw.k.decide(i-di, j-dj, sw.ws, sw.pc)
-			pairEvals += ev
-			permEvals += pe
-			tileSkipped += sk
-			if sig {
+			if obs, sig := sw.k.decide(i-di, j-dj, sw.ws); sig {
 				edges = append(edges, grn.Edge{I: i, J: j, Weight: obs})
 			}
 		})
-		s.log.commit(ti, pairEvals, permEvals, tileSkipped, edges)
+		s.log.commit(ti, int64(t.Pairs()), edges)
 		st.edges = append(st.edges, edges...)
-		skipped += tileSkipped
 		if endSpan != nil {
 			endSpan()
-		}
-		if s.trace != nil {
-			// Per-worker amortization counter tracks: cumulative
-			// permutations skipped by early exit and permuted-row cache
-			// hits, sampled at every tile boundary.
-			s.trace.Counter(w, "perm_skipped", float64(skipped))
-			if sw.pc != nil {
-				s.trace.Counter(w, "permcache_hits", float64(sw.pc.Hits()))
-			}
 		}
 		if s.progress != nil {
 			s.progress(int(s.done.Add(1)), s.total)
 		}
 	}
 	st.busy = time.Since(start).Seconds()
-	if sw.pc != nil {
-		st.cacheHits = sw.pc.Hits() - hits0
-		st.cacheMisses = sw.pc.Misses() - misses0
-	}
 	return st, err
 }

@@ -348,9 +348,12 @@ func (d *Dataset) MissingCount() int {
 // ImputeRowMean replaces every NaN with its gene's mean over the
 // observed values (0.5 for genes with no observations at all, the
 // midpoint of the normalized range) and returns the number of values
-// imputed. The MI pipeline requires a complete matrix; row-mean
-// imputation is the standard minimal treatment for sparse microarray
-// missingness and is rank-neutral for the affected gene.
+// imputed. Parsed datasets never hold such a gene: ReadTSV and
+// StreamTSVRows reject it, since a constant made-up row would enter
+// the network as if it had been measured. The MI pipeline requires a
+// complete matrix; row-mean imputation is the standard minimal
+// treatment for sparse microarray missingness and is rank-neutral for
+// the affected gene.
 func (d *Dataset) ImputeRowMean() int {
 	imputed := 0
 	for g := 0; g < d.N(); g++ {
@@ -465,10 +468,33 @@ func (d *Dataset) WriteTSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// checkRow enforces the per-row matrix contract both TSV parsers share:
+// gene names are unique, and a gene has at least one observed (non-NaN)
+// value — imputation has nothing to work from otherwise. It records
+// gene in seen.
+func checkRow(line int, gene string, row []float32, seen map[string]bool) error {
+	if seen[gene] {
+		return fmt.Errorf("expr: line %d: duplicate gene %q", line, gene)
+	}
+	observed := false
+	for _, v := range row {
+		if !math.IsNaN(float64(v)) {
+			observed = true
+			break
+		}
+	}
+	if !observed {
+		return fmt.Errorf("expr: line %d: gene %q has no observed values", line, gene)
+	}
+	seen[gene] = true
+	return nil
+}
+
 // ReadTSV parses a dataset written by WriteTSV (or any compatible
 // header+rows expression TSV). Ground truth is not represented in the
 // format, so Truth is empty. Gene names must be unique: a repeated one
-// would pair the gene with itself and emit a self-loop edge.
+// would pair the gene with itself and emit a self-loop edge. Every gene
+// needs at least one observed value (see checkRow).
 func ReadTSV(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -511,10 +537,9 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 			}
 			row[i] = float32(v)
 		}
-		if seen[fields[0]] {
-			return nil, fmt.Errorf("expr: line %d: duplicate gene %q", line, fields[0])
+		if err := checkRow(line, fields[0], row, seen); err != nil {
+			return nil, err
 		}
-		seen[fields[0]] = true
 		genes = append(genes, fields[0])
 		rows = append(rows, row)
 	}

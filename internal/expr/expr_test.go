@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -193,11 +194,17 @@ func TestReadTSVErrors(t *testing.T) {
 		"ragged":         "gene\tE0\tE1\nG0\t1.0\n",
 		"bad-number":     "gene\tE0\nG0\tnotanumber\n",
 		"duplicate-gene": "gene\tE0\nG0\t1\nG1\t2\nG0\t3\n",
+		"all-missing":    "gene\tE0\tE1\nG0\t1\t2\nG1\tNA\t\n",
+		"all-nan":        "gene\tE0\tE1\nG0\tNaN\tna\nG1\t1\t2\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTSV(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
+	}
+	_, err := ReadTSV(strings.NewReader(cases["all-missing"]))
+	if want := `expr: line 3: gene "G1" has no observed values`; err == nil || err.Error() != want {
+		t.Fatalf("all-missing: error %v, want %q", err, want)
 	}
 }
 
@@ -304,12 +311,12 @@ func TestReadTSVMissingValues(t *testing.T) {
 	}
 }
 
+// TestImputeAllMissingRow covers the library-level fallback for a gene
+// with no observed value. The parsers refuse such a gene (see
+// TestReadTSVErrors), so the dataset is built directly.
 func TestImputeAllMissingRow(t *testing.T) {
-	in := "gene\tE0\tE1\nG0\tNA\tNA\n"
-	d, err := ReadTSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nan := float32(math.NaN())
+	d := &Dataset{Genes: []string{"G0"}, Expr: mat.FromRows([][]float32{{nan, nan}}), Truth: make([][]int, 1)}
 	d.ImputeRowMean()
 	if d.Expr.At(0, 0) != 0.5 || d.Expr.At(0, 1) != 0.5 {
 		t.Fatalf("all-missing row should fill 0.5, got %v/%v", d.Expr.At(0, 0), d.Expr.At(0, 1))

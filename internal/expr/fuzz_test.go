@@ -73,6 +73,8 @@ func FuzzStreamTSV(f *testing.F) {
 	f.Add("\x00\t\x01\n\xff\t2\n")
 	// A repeated gene row, separated from its first copy by a blank line.
 	f.Add("gene\tE0\tE1\nG0\t0.5\t0.25\n\nG0\t0.1\t0.2\n")
+	// A gene with no observed value, after a valid one.
+	f.Add("gene\tE0\tE1\nG0\t0.5\t0.25\nG1\tNA\t\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		want, wantErr := ReadTSV(strings.NewReader(input))
 		got, gotErr := StreamTSV(strings.NewReader(input))

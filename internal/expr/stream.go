@@ -27,7 +27,8 @@ type RowSink func(gene string, row []float32) error
 // matrix. It returns the gene names (one per accepted row) and the
 // column count fixed by the header. Accept/reject behavior matches
 // ReadTSV/StreamTSV: NA/empty fields become NaN, blank lines are
-// skipped, ragged rows and repeated gene names are errors.
+// skipped, ragged rows, repeated gene names and genes with no observed
+// value are errors.
 func StreamTSVRows(r io.Reader, sink RowSink) (genes []string, cols int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -80,10 +81,9 @@ func StreamTSVRows(r io.Reader, sink RowSink) (genes []string, cols int, err err
 			}
 			rowBuf[i] = float32(v)
 		}
-		if seen[gene] {
-			return nil, 0, fmt.Errorf("expr: line %d: duplicate gene %q", line, gene)
+		if err := checkRow(line, gene, rowBuf, seen); err != nil {
+			return nil, 0, err
 		}
-		seen[gene] = true
 		if err := sink(gene, rowBuf); err != nil {
 			return nil, 0, err
 		}

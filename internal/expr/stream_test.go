@@ -48,29 +48,35 @@ func TestStreamTSVErrors(t *testing.T) {
 		"bad number":       "gene\tE0\nG0\tnot-a-number\n",
 		"no gene rows":     "gene\tE0\n",
 		"duplicate-gene":   "gene\tE0\nG0\t1\nG1\t2\nG0\t3\n",
+		"all-missing":      "gene\tE0\tE1\nG0\t1\t2\nG1\tNA\t\n",
+		"all-nan":          "gene\tE0\tE1\nG0\tNaN\tna\nG1\t1\t2\n",
 	}
 	for name, input := range cases {
 		if _, err := StreamTSV(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted %q", name, input)
 		}
 	}
+	_, _, err := StreamTSVRows(strings.NewReader(cases["all-missing"]), func(string, []float32) error { return nil })
+	if want := `expr: line 3: gene "G1" has no observed values`; err == nil || err.Error() != want {
+		t.Errorf("all-missing: StreamTSVRows error %v, want %q", err, want)
+	}
 }
 
 func TestStreamTSVMissingValues(t *testing.T) {
-	d, err := StreamTSV(strings.NewReader("gene\tE0\tE1\tE2\tE3\nG0\tNA\t\tna\tN/A\nG1\t1\t2\t3\t4\n\n"))
+	d, err := StreamTSV(strings.NewReader("gene\tE0\tE1\tE2\tE3\tE4\nG0\tNA\t\tna\tN/A\t7\nG1\t1\t2\t3\t4\t5\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.N() != 2 || d.M() != 4 {
-		t.Fatalf("shape %dx%d, want 2x4", d.N(), d.M())
+	if d.N() != 2 || d.M() != 5 {
+		t.Fatalf("shape %dx%d, want 2x5", d.N(), d.M())
 	}
 	for j := 0; j < 4; j++ {
 		if !math.IsNaN(float64(d.Expr.At(0, j))) {
 			t.Fatalf("missing value (0,%d) parsed as %v, want NaN", j, d.Expr.At(0, j))
 		}
 	}
-	if d.Expr.At(1, 3) != 4 {
-		t.Fatalf("value (1,3) = %v, want 4", d.Expr.At(1, 3))
+	if d.Expr.At(0, 4) != 7 || d.Expr.At(1, 3) != 4 {
+		t.Fatalf("values (0,4), (1,3) = %v, %v, want 7, 4", d.Expr.At(0, 4), d.Expr.At(1, 3))
 	}
 	if len(d.Truth) != 2 {
 		t.Fatalf("Truth len %d, want 2", len(d.Truth))

@@ -127,7 +127,11 @@ type scan struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed at terminal state
 
-	// Immutable after prepare():
+	// data is the matrix Submit parsed, handed to prepare (nil after it,
+	// or when Submit found the key already registered).
+	data *expr.Dataset
+	// Immutable after prepare() until finishScan releases the bulk ones
+	// (body, norm, tileIdx):
 	body    []byte
 	genes   []string
 	norm    *mat.Dense // rank-normalized matrix for the CMI merge filter
@@ -308,6 +312,19 @@ func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool,
 	}
 	key := server.JobKey(body, cfg)
 
+	// A key not yet registered is a new scan: parse its matrix here,
+	// outside the lock, so a malformed upload is refused at submission
+	// (the HTTP front end answers 400) instead of failing the scan.
+	c.mu.Lock()
+	_, known := c.scans[key]
+	c.mu.Unlock()
+	var data *expr.Dataset
+	if !known {
+		if data, err = expr.StreamTSV(bytes.NewReader(body)); err != nil {
+			return "", false, fmt.Errorf("parse expression matrix: %w", err)
+		}
+	}
+
 	c.mu.Lock()
 	c.evictLocked()
 	if c.draining {
@@ -329,7 +346,7 @@ func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool,
 		ctx, cancel := context.WithCancel(context.Background())
 		sc = &scan{
 			key: key, cfg: cfg, ctx: ctx, cancel: cancel,
-			done: make(chan struct{}), body: body,
+			done: make(chan struct{}), body: body, data: data,
 			state: StateQueued, created: c.now(),
 		}
 		c.scans[key] = sc
@@ -403,13 +420,19 @@ func (c *Coordinator) ledgerPath(key string) string {
 	return filepath.Join(c.CheckpointDir, key+".fleet.ckpt")
 }
 
-// prepare parses the submission, plans the chunks, and builds (or
-// resumes) the chunk ledger. Called once, from runScan, before any
+// prepare takes the parsed submission, plans the chunks, and builds
+// (or resumes) the chunk ledger. Called once, from runScan, before any
 // dispatch.
 func (c *Coordinator) prepare(s *scan) error {
-	data, err := expr.StreamTSV(bytes.NewReader(s.body))
-	if err != nil {
-		return fmt.Errorf("parse expression matrix: %w", err)
+	data := s.data
+	s.data = nil
+	if data == nil {
+		// Submit found the key registered, but the scan was evicted
+		// before this one took its place: parse now.
+		var err error
+		if data, err = expr.StreamTSV(bytes.NewReader(s.body)); err != nil {
+			return fmt.Errorf("parse expression matrix: %w", err)
+		}
 	}
 	if data.MissingCount() > 0 {
 		data.ImputeRowMean()
@@ -467,6 +490,7 @@ func (c *Coordinator) prepare(s *scan) error {
 		Bootstraps:    s.cfg.Ensemble.Bootstraps,
 		SubsampleFrac: s.cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:  s.cfg.Ensemble.Seed,
+		Rule:          checkpoint.RulePooledNull,
 	}
 	s.ledger = checkpoint.NewState(fp, len(s.chunks))
 	if s.cfg.Ensemble.Enabled() {
@@ -496,8 +520,6 @@ func (c *Coordinator) prepare(s *scan) error {
 			s.resumed = len(s.chunks) - saved.Remaining()
 			// Fold the resumed chunks' evaluation counters into the merge
 			// sums — they were committed by a previous coordinator life.
-			// (Cache-level counters like PermCacheHits are not in the
-			// ledger; a resumed scan underreports those.)
 			for i, done := range saved.Done {
 				if !done {
 					continue
@@ -692,9 +714,6 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 	s.ledger.Edges = append(s.ledger.Edges, edges...)
 	s.sums.PairsEvaluated += res.PairsEvaluated
 	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PermutationsSkipped += res.PermutationsSkipped
-	s.sums.PermCacheHits += res.PermCacheHits
-	s.sums.PermCacheMisses += res.PermCacheMisses
 	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
 	s.sums.SpillReadRetries += res.SpillReadRetries
 	done := len(s.chunks) - s.ledger.Remaining()
@@ -760,9 +779,6 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	s.ledger.PairEvalsPerTile[ci] = res.PairsEvaluated
 	s.sums.PairsEvaluated += res.PairsEvaluated
 	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PermutationsSkipped += res.PermutationsSkipped
-	s.sums.PermCacheHits += res.PermCacheHits
-	s.sums.PermCacheMisses += res.PermCacheMisses
 	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
 	s.sums.SpillReadRetries += res.SpillReadRetries
 	// Advance the fold prefix: bootstraps must enter the aggregate in
@@ -863,9 +879,6 @@ func (c *Coordinator) merge(s *scan) {
 		Timer:                timer,
 		PairsEvaluated:       s.sums.PairsEvaluated,
 		PermEvaluations:      s.sums.PermEvaluations,
-		PermutationsSkipped:  s.sums.PermutationsSkipped,
-		PermCacheHits:        s.sums.PermCacheHits,
-		PermCacheMisses:      s.sums.PermCacheMisses,
 		CheckpointRecoveries: s.sums.CheckpointRecoveries,
 		SpillReadRetries:     s.sums.SpillReadRetries,
 	}
@@ -916,9 +929,6 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 			Timer:                 timer,
 			PairsEvaluated:        s.sums.PairsEvaluated,
 			PermEvaluations:       s.sums.PermEvaluations,
-			PermutationsSkipped:   s.sums.PermutationsSkipped,
-			PermCacheHits:         s.sums.PermCacheHits,
-			PermCacheMisses:       s.sums.PermCacheMisses,
 			CheckpointRecoveries:  s.sums.CheckpointRecoveries,
 			SpillReadRetries:      s.sums.SpillReadRetries,
 		}
@@ -938,8 +948,11 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 }
 
 // finishScan records a scan's terminal state and releases its bulk
-// buffers (the cached entry keeps the result and gene names, not the
-// raw matrix).
+// buffers. The cached entry lives for CacheTTL and keeps only the
+// result, the gene names and the small per-chunk bookkeeping: not the
+// raw matrix, the pre-filter edges in the ledger, the edge-validation
+// index or unfolded bootstrap networks. Every dispatch goroutine has
+// returned by now, so nothing reads them after this.
 func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 	s.mu.Lock()
 	s.state = st
@@ -952,6 +965,13 @@ func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 	s.finished = c.now()
 	s.body = nil
 	s.norm = nil
+	s.tileIdx = nil
+	s.bootEdges = nil
+	if s.ledger != nil {
+		// Done stays: the status's chunksDone is counted from it.
+		s.ledger.Edges = nil
+		s.ledger.EnsembleEdges = nil
+	}
 	wall := 0.0
 	if !s.started.IsZero() {
 		wall = s.finished.Sub(s.started).Seconds()

@@ -157,6 +157,7 @@ func TestFleetEnsembleLedgerResume(t *testing.T) {
 		Bootstraps:    cfg.Ensemble.Bootstraps,
 		SubsampleFrac: cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:  cfg.Ensemble.Seed,
+		Rule:          checkpoint.RulePooledNull,
 	}, b)
 	st.Done[0] = true
 	st.EnsembleEdges = ens.Edges()

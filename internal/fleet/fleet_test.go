@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -236,6 +237,24 @@ func TestFleetSubmitRejectsBadParams(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", params, resp.StatusCode)
 		}
+	}
+	// Malformed matrices are refused at upload, before any scan exists.
+	for body, want := range map[string]string{
+		"gene\tE0\tE1\nG0\t1\t2\nG0\t2\t1\n":   `duplicate gene "G0"`,
+		"gene\tE0\tE1\nG0\t1\t2\nG1\tNA\tNA\n": `gene "G1" has no observed values`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs?seed=1", "text/tab-separated-values", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Fatalf("%q: status %d %q, want 400 naming %q", body, resp.StatusCode, msg, want)
+		}
+	}
+	if v := c.mScansStarted.Value(); v != 0 {
+		t.Fatalf("rejected uploads started %v scans", v)
 	}
 }
 
@@ -537,7 +556,7 @@ func TestFleetLedgerResume(t *testing.T) {
 		Order: cfg.Order, Bins: cfg.Bins,
 		Permutations: cfg.Permutations, NullSamplePairs: cfg.NullSamplePairs,
 		TileSize: cfg.TileSize, Alpha: cfg.Alpha, Seed: cfg.Seed,
-		Precision: uint8(cfg.Precision),
+		Precision: uint8(cfg.Precision), Rule: checkpoint.RulePooledNull,
 	}, chunks)
 	st.Threshold = part.Threshold
 	st.NullSize = part.NullSize
@@ -660,3 +679,70 @@ func TestFleetShutdown(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt linked for debug edits
+
+// TestFleetFinishedScanKeepsOnlyResult: a finished scan stays in the
+// result cache for CacheTTL, so finishScan must leave it holding only
+// its result — not the matrix, the ledger's pre-filter edges, the
+// edge-validation index or unfolded bootstrap networks — while the
+// status still counts every chunk done and a cache hit still serves
+// the full, bit-identical result.
+func TestFleetFinishedScanKeepsOnlyResult(t *testing.T) {
+	body := fleetBody(t, 24, 16, 4)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"plain", scanConfig(t)},
+		{"ensemble", ensembleScanConfig(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := reference(t, body, tc.cfg)
+			c, _ := newFleet(t, 2)
+			id, _, err := c.Submit(body, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			j := c.jobs[id]
+			c.mu.Unlock()
+			s := j.scan
+			s.mu.Lock()
+			if s.body != nil || s.norm != nil || s.tileIdx != nil || s.bootEdges != nil {
+				t.Errorf("finished scan holds body=%v norm=%v tileIdx=%d bootEdges=%d",
+					s.body != nil, s.norm != nil, len(s.tileIdx), len(s.bootEdges))
+			}
+			if s.ledger.Edges != nil || s.ledger.EnsembleEdges != nil {
+				t.Errorf("finished scan ledger holds %d edges, %d support edges",
+					len(s.ledger.Edges), len(s.ledger.EnsembleEdges))
+			}
+			s.mu.Unlock()
+			if st := j.status(); st.ChunksDone != st.Chunks || st.Chunks == 0 {
+				t.Errorf("status chunksDone %d of %d", st.ChunksDone, st.Chunks)
+			}
+
+			before := c.mDispatched.Value()
+			hitID, hit, err := c.Submit(body, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hit {
+				t.Fatal("resubmission missed the result cache")
+			}
+			got, err := c.Wait(context.Background(), hitID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := c.mDispatched.Value(); after != before {
+				t.Fatalf("cache hit dispatched %v new chunks", after-before)
+			}
+			if tc.cfg.Ensemble.Enabled() {
+				assertEnsembleIdentical(t, got, want)
+			} else {
+				assertBitIdentical(t, got, want)
+			}
+		})
+	}
+}

@@ -1,10 +1,13 @@
 // Amortized permutation-sweep kernels.
 //
-// The per-pair permutation test is the dominant cost of a whole-genome
-// scan: every surviving pair pays up to q extra MI evaluations, and the
-// seed implementation re-runs the full bucketed kernel for each one — a
-// fresh three-pass counting sort per permutation, with every j-side
-// access paying the double indirection offs[baseJ+perm[s]].
+// A per-pair permutation test pays up to q extra MI evaluations per
+// surviving pair, and re-running the full bucketed kernel for each one
+// costs a fresh three-pass counting sort per permutation, with every
+// j-side access paying the double indirection offs[baseJ+perm[s]].
+// The core engines no longer run such a test (edges are cut at the
+// pooled-null threshold alone) but still use PairBlocked/PairBlocked32
+// for observed MI; the sweeps and PermCache remain as the permutation
+// cost probe of the end-to-end benchmark.
 //
 // This file removes that redundancy at three levels:
 //

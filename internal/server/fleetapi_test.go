@@ -209,10 +209,11 @@ func TestConfigParamsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobKeyGolden pins JobKey for fixed (body, config) pairs to the
-// hex keys earlier releases computed. Keys name server checkpoint files
-// and the coordinator's cache and ledger entries, so a changed key
-// would orphan every scan persisted under the old one.
+// TestJobKeyGolden pins JobKey for fixed (body, config) pairs. Keys
+// name server checkpoint files and the coordinator's cache and ledger
+// entries, so a changed key orphans every scan persisted under the old
+// one. The pinned keys hash the pooled-null significance rule; the
+// per-pair permutation rule of earlier releases hashed to other keys.
 func TestJobKeyGolden(t *testing.T) {
 	body := []byte("gene\ts1\ts2\ts3\ts4\ts5\nG0\t1\t2\t3\t4\t5\nG1\t5\t3\t4\t1\t2\nG2\t2\t2\t1\t5\t3\n")
 	plain := core.Config{Order: 3, Bins: 10, Permutations: 30, NullSamplePairs: 500, TileSize: 32,
@@ -232,13 +233,13 @@ func TestJobKeyGolden(t *testing.T) {
 		cfg  core.Config
 		want string
 	}{
-		{"zero", core.Config{}, "75048fb50b0470db"},
-		{"plain", plain, "bdfb7325be37d5f3"},
-		{"float32", f32, "48d7a93b30344591"},
-		{"dpi+cmi", cmi, "3b37c7db35f66959"},
-		{"chunk", chunk, "2f7de39e2553c814"},
-		{"ensemble", ens, "5bdd8a539e2c6145"},
-		{"ensemble-range", ensRange, "1f2db1cf60ce2ce0"},
+		{"zero", core.Config{}, "2ccf604efa115477"},
+		{"plain", plain, "cf1d99b3bf2be67d"},
+		{"float32", f32, "6d8a00d6873e1cdf"},
+		{"dpi+cmi", cmi, "c8c4113f9f91a637"},
+		{"chunk", chunk, "42afafa61e00348a"},
+		{"ensemble", ens, "1084556221b6eaf6"},
+		{"ensemble-range", ensRange, "6a4c6a12af8ee00b"},
 	} {
 		if got := JobKey(body, c.cfg); got != c.want {
 			t.Errorf("%s: JobKey = %s, want %s", c.name, got, c.want)

@@ -220,10 +220,12 @@ func (s *Server) init() {
 				"Jobs reaching a terminal state.", metrics.Labels{"state": string(st)})
 		}
 		s.mPairs = r.Counter("tinge_pairs_evaluated_total", "MI kernel evaluations including permutations.", nil)
-		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Permutation MI evaluations actually computed.", nil)
-		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit.", nil)
-		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits.", nil)
-		s.mMisses = r.Counter("tinge_permcache_misses_total", "Permuted-row cache misses.", nil)
+		// The scan runs no per-pair permutation test, so the four
+		// permutation counters stay 0; they remain for dashboards.
+		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Per-pair permutation MI evaluations (always 0).", nil)
+		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit (always 0).", nil)
+		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits (always 0).", nil)
+		s.mMisses = r.Counter("tinge_permcache_misses_total", "Permuted-row cache misses (always 0).", nil)
 		s.mRankFailures = r.Counter("tinge_rank_failures_total", "Cluster ranks lost to faults across jobs.", nil)
 		s.mRecoveryRuns = r.Counter("tinge_recovery_runs_total", "Cluster recovery re-runs after a rank failure.", nil)
 		s.mRecoveredTiles = r.Counter("tinge_recovered_tiles_total", "Pair tiles redistributed to surviving ranks.", nil)
@@ -522,17 +524,16 @@ func ConfigParams(cfg core.Config) url.Values {
 // stem, so an identical resubmission maps to the same checkpoint and
 // resumes; the fleet coordinator uses the same key for its
 // content-addressed result cache and single-flight dedupe, and returns
-// it with 410 Gone so a late client can re-hit the cache.
+// it with 410 Gone so a late client can re-hit the cache. The key hashes
+// the significance rule, so scans cut under the per-pair permutation
+// rule of earlier releases never match a key of this one.
 func JobKey(body []byte, cfg core.Config) string {
 	h := sha256.New()
 	h.Write(body)
-	// The literal false fills the slot of the removed prescreen option:
-	// keys are checkpoint file stems and fleet cache/ledger keys, so they
-	// must stay byte-identical to the ones earlier releases computed.
-	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|false|%v|%v|%v",
+	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|%v|%v|%v|%v",
 		cfg.Order, cfg.Bins, cfg.Permutations, cfg.NullSamplePairs,
 		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, cfg.Kernel,
-		cfg.Precision, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
+		cfg.Precision, checkpoint.RulePooledNull, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
 	if cfg.ChunkTiles > 0 {
 		fmt.Fprintf(h, "|chunk %d+%d", cfg.ChunkStart, cfg.ChunkTiles)
 	}
@@ -1005,6 +1006,9 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 // coordinator's bit-identity merge — while JSON float64s round-trip
 // exactly (Go emits the shortest representation that parses back to
 // the same bits). Edges are [i, j, weight] triples in sorted order.
+// The four permutation counters mirror core.Result's and are always 0:
+// the scan runs no per-pair permutation test. They stay in the wire
+// format so existing clients keep decoding it.
 type ResultResponse struct {
 	ID                   string       `json:"id"`
 	Key                  string       `json:"key"`

@@ -204,6 +204,7 @@ func TestBadSubmissions(t *testing.T) {
 		{"permutations=0", valid, "at least 1"},
 		{"permutations=-3", valid, "at least 1"},
 		{"", "gene\tE0\nG0\t1\nG0\t2\n", `duplicate gene "G0"`},
+		{"", "gene\tE0\tE1\nG0\t1\t2\nG1\tNA\t\n", `gene "G1" has no observed values`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs?"+c.params, "text/plain", strings.NewReader(c.body))

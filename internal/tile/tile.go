@@ -4,8 +4,9 @@
 // With n genes there are n(n-1)/2 pairs (i<j). The paper blocks this
 // triangle into T×T tiles so that the 2T gene weight rows a tile touches
 // fit in a core's L2 cache, then distributes tiles over threads. Tile
-// costs are skewed (diagonal tiles are half-size; permutation early-exit
-// makes some tiles cheaper), so the paper uses dynamic scheduling; this
+// costs are skewed (diagonal tiles are half-size; in TINGe's per-pair
+// permutation test, early exit makes some tiles cheaper), so the paper
+// uses dynamic scheduling; this
 // package provides the static, cyclic, dynamic, and work-stealing
 // policies the scheduling ablation compares.
 package tile

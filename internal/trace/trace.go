@@ -23,8 +23,7 @@ type Event struct {
 }
 
 // CounterSample is one point on a per-worker counter track (Chrome
-// trace "C" events) — used for the scan's amortization counters
-// (permutations skipped by early exit, permuted-row cache hits).
+// trace "C" events).
 type CounterSample struct {
 	Worker int
 	Name   string

@@ -4,8 +4,9 @@
 // IPDPS 2014).
 //
 // It infers gene regulatory networks from expression matrices using
-// B-spline mutual-information estimation with permutation testing
-// (the TINGe method), executed on one of four engines:
+// B-spline mutual-information estimation cut at a pooled
+// permutation-null threshold (the TINGe method), executed on one of
+// four engines:
 //
 //   - Host: a goroutine pool over cache-sized pair tiles (the paper's
 //     Xeon path);
