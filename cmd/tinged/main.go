@@ -10,7 +10,8 @@
 //	curl -s localhost:8080/metrics
 //
 // The server sheds load with 429 past -max-queued waiting jobs, evicts
-// finished jobs after -job-ttl, and exports Prometheus metrics at
+// finished jobs after -job-ttl (and the oldest finished ones past
+// -max-jobs), and exports Prometheus metrics at
 // /metrics. On SIGINT/SIGTERM it stops accepting work and drains: with
 // -checkpoint-dir set, the running scan is canceled and flushes its
 // progress to a checkpoint, so resubmitting the same job to a restarted
@@ -34,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -63,6 +65,24 @@ func main() {
 	chunkTimeout := flag.Duration("chunk-timeout", 10*time.Minute, "per-chunk-attempt deadline (coordinator mode)")
 	cacheTTL := flag.Duration("cache-ttl", 15*time.Minute, "content-addressed result cache lifetime (coordinator mode)")
 	flag.Parse()
+
+	// The registry and admission bounds have no "unset" value: each one
+	// means the same in both modes, so an out-of-range value is refused.
+	var bad string
+	switch {
+	case *jobTTL <= 0:
+		bad = fmt.Sprintf("-job-ttl %v: need a positive duration", *jobTTL)
+	case *maxJobs < 1:
+		bad = fmt.Sprintf("-max-jobs %d: need at least 1", *maxJobs)
+	case *maxRunning < 1:
+		bad = fmt.Sprintf("-max-running %d: need at least 1", *maxRunning)
+	case *maxQueued < 0:
+		bad = fmt.Sprintf("-max-queued %d: need at least 0", *maxQueued)
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "tinged:", bad)
+		os.Exit(1)
+	}
 
 	var handler slog.Handler
 	if *logJSON {

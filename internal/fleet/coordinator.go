@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -22,25 +20,11 @@ import (
 	"repro/internal/tile"
 )
 
-// ScanState is a fleet scan's (and fleet job's) lifecycle phase. The
-// values deliberately mirror server.JobState so fleet clients can
-// reuse their polling logic unchanged.
-type ScanState = server.JobState
-
-// States (aliased from the server package).
-const (
-	StateQueued   = server.StateQueued
-	StateRunning  = server.StateRunning
-	StateDone     = server.StateDone
-	StateFailed   = server.StateFailed
-	StateCanceled = server.StateCanceled
-)
-
-// Coordinator fans scans out over a fleet of worker tinged instances.
-// Create with New, adjust the exported knobs before first use, then
-// serve Handler() or drive the Go API (Submit/Wait). All knobs must be
-// set before the first request.
+// Coordinator fans scans out over a fleet of worker tinged instances
+// behind the job API. Create with New, adjust the exported knobs before
+// first use, then serve Handler() or drive the Go API (Submit/Wait).
 type Coordinator struct {
+	server.Options
 	// Workers is the list of worker base URLs (e.g. http://host:8080).
 	Workers []string
 	// ChunksPerScan is how many chunk jobs a scan is split into
@@ -64,43 +48,27 @@ type Coordinator struct {
 	// CacheTTL is how long a completed scan's result serves from the
 	// content-addressed cache (default 15m).
 	CacheTTL time.Duration
-	// TTL is how long terminal fleet jobs stay queryable (default 15m).
-	TTL time.Duration
-	// MaxJobs caps the job registry (default 256).
-	MaxJobs int
 	// MaxActiveScans bounds concurrently executing scans; submissions
 	// past it shed with 429 unless they dedupe onto a running scan
 	// (default 4).
 	MaxActiveScans int
-	// MaxBodyBytes bounds uploaded matrices (default 1 GiB).
-	MaxBodyBytes int64
 	// CheckpointDir, when set, persists each scan's chunk ledger there
 	// (checkpoint.State keyed by the scan's content address), so a
 	// restarted coordinator resumes a half-finished scan's pending
 	// chunks instead of redispatching everything.
 	CheckpointDir string
-	// EventPoll is the SSE snapshot interval (default 50ms).
-	EventPoll time.Duration
-	// Logger receives structured records (default: discard).
-	Logger *slog.Logger
-	// Metrics is the exported registry (default: a fresh one).
-	Metrics *metrics.Registry
 	// Client is the HTTP client used to reach workers (default: a
 	// dedicated client with sane timeouts). Tests inject a rerouting /
 	// fault-injecting transport here.
 	Client *http.Client
 
+	api      *server.API
 	initOnce sync.Once
 
 	mu       sync.Mutex
 	scans    map[string]*scan // by content key: single-flight + result cache
-	jobs     map[string]*fleetJob
-	order    []string
-	gone     map[string]string // evicted job id -> content key (410 Gone)
-	goneOrd  []string
 	nextID   int64
 	draining bool
-	wg       sync.WaitGroup
 	now      func() time.Time
 
 	workers []*workerState
@@ -140,7 +108,7 @@ type scan struct {
 	tileIdx map[[2]int]int // (rowBlock, colBlock) -> tile index, for edge validation
 
 	mu       sync.Mutex
-	state    ScanState
+	state    server.JobState
 	err      string
 	progress float64
 	result   *core.Result
@@ -172,29 +140,30 @@ type scan struct {
 
 // fleetJob is one client-visible submission: an id watching a scan.
 type fleetJob struct {
-	id   string
-	scan *scan
-
-	mu       sync.Mutex
-	canceled bool
+	id       string
+	scan     *scan
 	created  time.Time
 	cacheHit bool
+	now      func() time.Time
+
+	mu         sync.Mutex
+	canceledAt time.Time // zero until the client cancels
 }
 
 // New returns a coordinator over the given worker base URLs.
 func New(workers []string) *Coordinator {
-	return &Coordinator{
-		Workers:      workers,
-		MaxBodyBytes: 1 << 30,
-		scans:        make(map[string]*scan),
-		jobs:         make(map[string]*fleetJob),
-		gone:         make(map[string]string),
-		now:          time.Now,
+	c := &Coordinator{
+		Workers: workers,
+		scans:   make(map[string]*scan),
+		now:     time.Now,
 	}
+	c.api = server.NewAPI(c, &c.Options, "tinge_fleet_", func() time.Time { return c.now() })
+	return c
 }
 
 // init finalizes configuration on first use.
 func (c *Coordinator) init() {
+	c.api.Init()
 	c.initOnce.Do(func() {
 		if c.ChunksPerScan <= 0 {
 			c.ChunksPerScan = 2 * len(c.Workers)
@@ -217,23 +186,8 @@ func (c *Coordinator) init() {
 		if c.CacheTTL <= 0 {
 			c.CacheTTL = 15 * time.Minute
 		}
-		if c.TTL <= 0 {
-			c.TTL = 15 * time.Minute
-		}
-		if c.MaxJobs <= 0 {
-			c.MaxJobs = 256
-		}
 		if c.MaxActiveScans <= 0 {
 			c.MaxActiveScans = 4
-		}
-		if c.EventPoll <= 0 {
-			c.EventPoll = 50 * time.Millisecond
-		}
-		if c.Logger == nil {
-			c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-		}
-		if c.Metrics == nil {
-			c.Metrics = metrics.New()
 		}
 		if c.Client == nil {
 			c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -255,11 +209,6 @@ func (c *Coordinator) init() {
 			}
 			c.workers = append(c.workers, w)
 		}
-		for _, st := range []ScanState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-			st := st
-			r.GaugeFunc("tinge_fleet_jobs", "Fleet jobs by state.",
-				metrics.Labels{"state": string(st)}, func() float64 { return float64(c.countState(st)) })
-		}
 		r.GaugeFunc("tinge_fleet_workers", "Configured fleet size.", nil,
 			func() float64 { return float64(len(c.Workers)) })
 		r.GaugeFunc("tinge_fleet_cached_scans", "Scans resident in the content-addressed cache.", nil,
@@ -271,21 +220,17 @@ func (c *Coordinator) init() {
 	})
 }
 
-func (c *Coordinator) countState(st ScanState) int {
-	c.mu.Lock()
-	js := make([]*fleetJob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		js = append(js, j)
-	}
-	c.mu.Unlock()
-	n := 0
-	for _, j := range js {
-		if j.scan.snapshotState() == st {
-			n++
-		}
-	}
-	return n
+// Handler returns the coordinator's routed http.Handler: the job API
+// the single server serves, so existing tinged clients point at a
+// coordinator unchanged.
+func (c *Coordinator) Handler() http.Handler {
+	c.init()
+	return c.api.Handler()
 }
+
+// Shutdown cancels every active scan and waits for their goroutines,
+// or returns ctx's error.
+func (c *Coordinator) Shutdown(ctx context.Context) error { return c.api.Shutdown(ctx) }
 
 // Submit registers a scan for the given expression matrix body and
 // validated-or-validatable config. Identical submissions — same matrix
@@ -294,21 +239,31 @@ func (c *Coordinator) countState(st ScanState) int {
 // CacheTTL. Returns the new job id and whether the submission hit the
 // cache/single-flight path.
 func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool, err error) {
-	c.init()
-	if len(c.Workers) == 0 {
-		return "", false, fmt.Errorf("fleet: no workers configured")
-	}
-	if err := cfg.Validate(); err != nil {
+	j, err := c.api.Submit(body, cfg)
+	if err != nil {
 		return "", false, err
 	}
+	return j.ID(), j.(*fleetJob).cacheHit, nil
+}
+
+// Start admits one submission onto a new or cached scan. It implements
+// server.Runner.
+func (c *Coordinator) Start(body []byte, cfg core.Config) (server.Job, error) {
+	c.init()
+	if len(c.Workers) == 0 {
+		return nil, fmt.Errorf("fleet: no workers configured")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Engine != core.Host {
-		return "", false, fmt.Errorf("fleet: only the host engine fans out, have %v", cfg.Engine)
+		return nil, fmt.Errorf("fleet: only the host engine fans out, have %v", cfg.Engine)
 	}
 	if cfg.ChunkTiles > 0 {
-		return "", false, fmt.Errorf("fleet: submissions cannot carry a chunk range")
+		return nil, fmt.Errorf("fleet: submissions cannot carry a chunk range")
 	}
 	if cfg.Ensemble.Count > 0 {
-		return "", false, fmt.Errorf("fleet: submissions cannot carry a bootstrap range")
+		return nil, fmt.Errorf("fleet: submissions cannot carry a bootstrap range")
 	}
 	key := server.JobKey(body, cfg)
 
@@ -316,20 +271,21 @@ func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool,
 	// outside the lock, so a malformed upload is refused at submission
 	// (the HTTP front end answers 400) instead of failing the scan.
 	c.mu.Lock()
+	c.expireLocked()
 	_, known := c.scans[key]
 	c.mu.Unlock()
 	var data *expr.Dataset
 	if !known {
+		var err error
 		if data, err = expr.StreamTSV(bytes.NewReader(body)); err != nil {
-			return "", false, fmt.Errorf("parse expression matrix: %w", err)
+			return nil, fmt.Errorf("parse expression matrix: %w", err)
 		}
 	}
 
 	c.mu.Lock()
-	c.evictLocked()
 	if c.draining {
 		c.mu.Unlock()
-		return "", false, errDraining
+		return nil, errDraining
 	}
 	sc, ok := c.scans[key]
 	if !ok {
@@ -341,25 +297,22 @@ func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool,
 		}
 		if active >= c.MaxActiveScans {
 			c.mu.Unlock()
-			return "", false, errBusy
+			return nil, errBusy
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		sc = &scan{
 			key: key, cfg: cfg, ctx: ctx, cancel: cancel,
 			done: make(chan struct{}), body: body, data: data,
-			state: StateQueued, created: c.now(),
+			state: server.StateQueued, created: c.now(),
 		}
 		c.scans[key] = sc
-		c.wg.Add(1)
-		go c.runScan(sc)
+		c.api.Go(func() { c.runScan(sc) })
 	}
 	sc.mu.Lock()
 	sc.watchers++
 	sc.mu.Unlock()
 	c.nextID++
-	j := &fleetJob{id: fmt.Sprintf("fl-%d", c.nextID), scan: sc, created: c.now(), cacheHit: ok}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
+	j := &fleetJob{id: fmt.Sprintf("fl-%d", c.nextID), scan: sc, created: c.now(), cacheHit: ok, now: c.now}
 	c.mu.Unlock()
 
 	if ok {
@@ -368,15 +321,13 @@ func (c *Coordinator) Submit(body []byte, cfg core.Config) (id string, hit bool,
 		c.mCacheMisses.Inc()
 	}
 	c.Logger.Info("fleet job", "job", j.id, "key", key, "hit", ok)
-	return j.id, ok, nil
+	return j, nil
 }
 
 // Wait blocks until the job's scan reaches a terminal state and
 // returns the merged result (an error for failed/canceled scans).
 func (c *Coordinator) Wait(ctx context.Context, id string) (*core.Result, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
+	j, _ := c.api.Job(id).(*fleetJob)
 	if j == nil {
 		return nil, fmt.Errorf("fleet: unknown job %s", id)
 	}
@@ -387,29 +338,68 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (*core.Result, error)
 	}
 	j.scan.mu.Lock()
 	defer j.scan.mu.Unlock()
-	if j.scan.state != StateDone {
+	if j.scan.state != server.StateDone {
 		return nil, fmt.Errorf("fleet: scan %s: %s", j.scan.state, j.scan.err)
 	}
 	return j.scan.result, nil
 }
 
-// GeneNames returns the gene names of a completed job's scan.
-func (c *Coordinator) GeneNames(id string) []string {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return nil
-	}
-	return j.scan.genes
-}
-
 var (
-	errDraining = fmt.Errorf("fleet: coordinator is shutting down")
-	errBusy     = fmt.Errorf("fleet: scan limit reached")
+	errDraining = fmt.Errorf("fleet: coordinator is %w", server.ErrDraining)
+	errBusy     = fmt.Errorf("fleet: scan limit reached: %w", server.ErrBusy)
 )
 
-func (s *scan) snapshotState() ScanState {
+func (j *fleetJob) ID() string     { return j.id }
+func (j *fleetJob) Key() string    { return j.scan.key }
+func (j *fleetJob) CacheHit() bool { return j.cacheHit }
+
+// Status reports the watched scan's state, or canceled once the client
+// canceled this job while the scan still runs for other watchers. A
+// job ends when it is canceled or, for a cache hit, when it was
+// created: never before its own submission.
+func (j *fleetJob) Status() server.Status {
+	j.mu.Lock()
+	canceledAt := j.canceledAt
+	j.mu.Unlock()
+	s := j.scan
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := server.Status{
+		ID: j.id, Key: s.key, State: s.state, Progress: s.progress,
+		CacheHit: j.cacheHit, Error: s.err, CreatedAt: j.created,
+	}
+	// prepare plans the chunks and loads the ledger, unlocked, while the
+	// scan is queued; the state change after it publishes them.
+	if s.state != server.StateQueued {
+		st.Chunks, st.Resumed = len(s.chunks), s.resumed
+		if s.ledger != nil {
+			st.ChunksDone = len(s.chunks) - s.ledger.Remaining()
+		}
+	}
+	switch {
+	case s.state.Terminal():
+		st.EndedAt = s.finished
+		if st.EndedAt.Before(j.created) {
+			st.EndedAt = j.created
+		}
+	case !canceledAt.IsZero():
+		st.State, st.EndedAt = server.StateCanceled, canceledAt
+	}
+	return st
+}
+
+// Done returns the merged result and gene names once the scan is done.
+func (j *fleetJob) Done() (*core.Result, []string) {
+	s := j.scan
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != server.StateDone {
+		return nil, nil
+	}
+	return s.result, s.genes
+}
+
+func (s *scan) snapshotState() server.JobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
@@ -542,16 +532,15 @@ func (c *Coordinator) prepare(s *scan) error {
 // runScan drives one scan to a terminal state: prepare, dispatch all
 // pending chunks over the worker pool with reassignment, then merge.
 func (c *Coordinator) runScan(s *scan) {
-	defer c.wg.Done()
 	defer s.cancel()
 	c.mScansStarted.Inc()
 
 	if err := c.prepare(s); err != nil {
-		c.finishScan(s, StateFailed, err.Error())
+		c.finishScan(s, server.StateFailed, err.Error())
 		return
 	}
 	s.mu.Lock()
-	s.state = StateRunning
+	s.state = server.StateRunning
 	s.started = c.now()
 	pending := s.ledger.PendingTiles()
 	s.progress = progressOf(len(s.chunks)-len(pending), len(s.chunks))
@@ -582,9 +571,9 @@ func (c *Coordinator) runScan(s *scan) {
 		msg := s.err
 		s.mu.Unlock()
 		if msg == "" {
-			c.finishScan(s, StateCanceled, "")
+			c.finishScan(s, server.StateCanceled, "")
 		} else {
-			c.finishScan(s, StateFailed, msg)
+			c.finishScan(s, server.StateFailed, msg)
 		}
 		return
 	}
@@ -869,7 +858,7 @@ func (c *Coordinator) merge(s *scan) {
 	})
 	if buildErr != nil {
 		c.mScansFailed.Inc()
-		c.finishScan(s, StateFailed, buildErr.Error())
+		c.finishScan(s, server.StateFailed, buildErr.Error())
 		return
 	}
 	res := &core.Result{
@@ -888,7 +877,7 @@ func (c *Coordinator) merge(s *scan) {
 	}
 	if err := core.ApplyFilters(s.cfg, res, rows); err != nil {
 		c.mScansFailed.Inc()
-		c.finishScan(s, StateFailed, err.Error())
+		c.finishScan(s, server.StateFailed, err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -897,7 +886,7 @@ func (c *Coordinator) merge(s *scan) {
 	if c.CheckpointDir != "" {
 		checkpoint.Remove(c.ledgerPath(s.key))
 	}
-	c.finishScan(s, StateDone, "")
+	c.finishScan(s, server.StateDone, "")
 }
 
 // mergeEnsemble closes out an ensemble scan: every bootstrap has been
@@ -935,7 +924,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 	})
 	if buildErr != nil {
 		c.mScansFailed.Inc()
-		c.finishScan(s, StateFailed, buildErr.Error())
+		c.finishScan(s, server.StateFailed, buildErr.Error())
 		return
 	}
 	s.mu.Lock()
@@ -944,7 +933,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 	if c.CheckpointDir != "" {
 		checkpoint.Remove(c.ledgerPath(s.key))
 	}
-	c.finishScan(s, StateDone, "")
+	c.finishScan(s, server.StateDone, "")
 }
 
 // finishScan records a scan's terminal state and releases its bulk
@@ -953,13 +942,13 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 // raw matrix, the pre-filter edges in the ledger, the edge-validation
 // index or unfolded bootstrap networks. Every dispatch goroutine has
 // returned by now, so nothing reads them after this.
-func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
+func (c *Coordinator) finishScan(s *scan, st server.JobState, errMsg string) {
 	s.mu.Lock()
 	s.state = st
 	if errMsg != "" && s.err == "" {
 		s.err = errMsg
 	}
-	if st == StateDone {
+	if st == server.StateDone {
 		s.progress = 1
 	}
 	s.finished = c.now()
@@ -986,7 +975,7 @@ func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 
 	// Failed and canceled scans leave the cache immediately: negative
 	// results must not be content-addressed.
-	if st != StateDone {
+	if st != server.StateDone {
 		c.mu.Lock()
 		if c.scans[s.key] == s {
 			delete(c.scans, s.key)
@@ -1003,12 +992,14 @@ func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 	c.Logger.Info("scan finished", attrs...)
 }
 
-// cancelJob detaches one watcher; the scan itself is canceled only
-// when its last watcher leaves.
-func (c *Coordinator) cancelJob(j *fleetJob) {
+// Cancel detaches one watcher; the scan itself is canceled only when
+// its last watcher leaves.
+func (j *fleetJob) Cancel() {
 	j.mu.Lock()
-	already := j.canceled
-	j.canceled = true
+	already := !j.canceledAt.IsZero()
+	if !already {
+		j.canceledAt = j.now()
+	}
 	j.mu.Unlock()
 	if already {
 		return
@@ -1019,45 +1010,16 @@ func (c *Coordinator) cancelJob(j *fleetJob) {
 	last := s.watchers <= 0 && !s.state.Terminal()
 	s.mu.Unlock()
 	if last {
-		s.mu.Lock()
-		if s.err == "" {
-			s.err = "canceled by client"
-		}
-		s.mu.Unlock()
+		// No error recorded: runScan finishes a scan canceled without one
+		// as canceled, not failed.
 		s.cancel()
 	}
 }
 
-// evictLocked drops terminal fleet jobs past TTL (recording 410
-// tombstones), caps the registry, and expires cached scans past
-// CacheTTL. Callers hold c.mu.
-func (c *Coordinator) evictLocked() {
+// expireLocked drops cached scans that finished more than CacheTTL
+// ago. Callers hold c.mu.
+func (c *Coordinator) expireLocked() {
 	now := c.now()
-	kept := c.order[:0]
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.scan.snapshotState().Terminal() && now.Sub(j.scan.finishedAt()) > c.TTL {
-			c.tombstoneLocked(id, j.scan.key)
-			delete(c.jobs, id)
-		} else {
-			kept = append(kept, id)
-		}
-	}
-	c.order = kept
-	if len(c.order) > c.MaxJobs {
-		kept = c.order[:0]
-		over := len(c.order) - c.MaxJobs
-		for _, id := range c.order {
-			if over > 0 && c.jobs[id].scan.snapshotState().Terminal() {
-				c.tombstoneLocked(id, c.jobs[id].scan.key)
-				delete(c.jobs, id)
-				over--
-			} else {
-				kept = append(kept, id)
-			}
-		}
-		c.order = kept
-	}
 	for key, sc := range c.scans {
 		sc.mu.Lock()
 		expired := sc.state.Terminal() && now.Sub(sc.finished) > c.CacheTTL
@@ -1068,27 +1030,9 @@ func (c *Coordinator) evictLocked() {
 	}
 }
 
-func (c *Coordinator) tombstoneLocked(id, key string) {
-	if _, dup := c.gone[id]; !dup {
-		c.gone[id] = key
-		c.goneOrd = append(c.goneOrd, id)
-	}
-	for len(c.goneOrd) > c.MaxJobs {
-		delete(c.gone, c.goneOrd[0])
-		c.goneOrd = c.goneOrd[1:]
-	}
-}
-
-func (s *scan) finishedAt() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finished
-}
-
-// Shutdown cancels every active scan and waits for their goroutines,
-// or returns ctx's error.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.init()
+// Drain refuses new submissions and cancels every active scan. It
+// implements server.Runner.
+func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.draining = true
 	var active []*scan
@@ -1105,16 +1049,5 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		}
 		sc.mu.Unlock()
 		sc.cancel()
-	}
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

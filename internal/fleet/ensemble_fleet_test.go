@@ -118,7 +118,7 @@ func TestFleetEnsembleBitIdentity(t *testing.T) {
 		t.Fatalf("GET /support = %d: %s", resp.StatusCode, body2)
 	}
 	var wantTSV bytes.Buffer
-	if err := want.Ensemble.WriteSupportTSV(&wantTSV, c.jobs[id].scan.genes); err != nil {
+	if err := want.Ensemble.WriteSupportTSV(&wantTSV, c.api.Job(id).(*fleetJob).scan.genes); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body2, wantTSV.Bytes()) {

@@ -322,7 +322,7 @@ func TestFleetCacheDedupe(t *testing.T) {
 	// Every watcher sees the same terminal network.
 	var first string
 	for _, r := range results {
-		waitHTTP(t, ts, r.ID, StateDone)
+		waitHTTP(t, ts, r.ID, server.StateDone)
 		tsv := getBody(t, ts.URL+"/jobs/"+r.ID+"/network")
 		if first == "" {
 			first = tsv
@@ -379,7 +379,7 @@ func getBody(t testing.TB, url string) string {
 	return buf.String()
 }
 
-func waitHTTP(t testing.TB, ts *httptest.Server, id string, want ScanState) Status {
+func waitHTTP(t testing.TB, ts *httptest.Server, id string, want server.JobState) server.Status {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
@@ -387,7 +387,7 @@ func waitHTTP(t testing.TB, ts *httptest.Server, id string, want ScanState) Stat
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Status
+		var st server.Status
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
@@ -396,13 +396,13 @@ func waitHTTP(t testing.TB, ts *httptest.Server, id string, want ScanState) Stat
 		if st.State == want {
 			return st
 		}
-		if st.State == StateFailed {
+		if st.State == server.StateFailed {
 			t.Fatalf("job %s failed: %s", id, st.Error)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
-	return Status{}
+	return server.Status{}
 }
 
 // TestFleetSSECompleteness reads a job's whole event stream: ordered
@@ -437,7 +437,7 @@ func TestFleetSSECompleteness(t *testing.T) {
 
 	type event struct {
 		name string
-		st   Status
+		st   server.Status
 	}
 	var events []event
 	sc := bufio.NewScanner(stream.Body)
@@ -448,7 +448,7 @@ func TestFleetSSECompleteness(t *testing.T) {
 		case strings.HasPrefix(line, "event: "):
 			name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
-			var st Status
+			var st server.Status
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &st); err != nil {
 				t.Fatalf("bad event payload: %v", err)
 			}
@@ -462,7 +462,7 @@ func TestFleetSSECompleteness(t *testing.T) {
 		t.Fatal("no events received")
 	}
 	last := events[len(events)-1]
-	if last.name != "done" || last.st.State != StateDone {
+	if last.name != "done" || last.st.State != server.StateDone {
 		t.Fatalf("stream ended with %q (%s), want done", last.name, last.st.State)
 	}
 	if last.st.Progress != 1 || last.st.Edges == 0 {
@@ -584,9 +584,7 @@ func TestFleetLedgerResume(t *testing.T) {
 	if v := c.mDispatched.Value(); v != chunks-1 {
 		t.Fatalf("dispatched %v chunks, want %d (chunk 0 resumed from ledger)", v, chunks-1)
 	}
-	c.mu.Lock()
-	resumed := c.jobs[id].scan.resumed
-	c.mu.Unlock()
+	resumed := c.api.Job(id).(*fleetJob).scan.resumed
 	if resumed != 1 {
 		t.Fatalf("resumed = %d, want 1", resumed)
 	}
@@ -705,9 +703,7 @@ func TestFleetFinishedScanKeepsOnlyResult(t *testing.T) {
 			if _, err := c.Wait(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
-			c.mu.Lock()
-			j := c.jobs[id]
-			c.mu.Unlock()
+			j := c.api.Job(id).(*fleetJob)
 			s := j.scan
 			s.mu.Lock()
 			if s.body != nil || s.norm != nil || s.tileIdx != nil || s.bootEdges != nil {
@@ -719,7 +715,7 @@ func TestFleetFinishedScanKeepsOnlyResult(t *testing.T) {
 					len(s.ledger.Edges), len(s.ledger.EnsembleEdges))
 			}
 			s.mu.Unlock()
-			if st := j.status(); st.ChunksDone != st.Chunks || st.Chunks == 0 {
+			if st := j.Status(); st.ChunksDone != st.Chunks || st.Chunks == 0 {
 				t.Errorf("status chunksDone %d of %d", st.ChunksDone, st.Chunks)
 			}
 

@@ -223,10 +223,8 @@ func TestFleetChaosSoak(t *testing.T) {
 
 // jobKeyOf returns a job's scan content key (test helper).
 func (c *Coordinator) jobKeyOf(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j := c.jobs[id]; j != nil {
-		return j.scan.key
+	if j := c.api.Job(id); j != nil {
+		return j.Key()
 	}
 	return ""
 }

@@ -27,9 +27,7 @@ func TestEvictedJobGone(t *testing.T) {
 
 	id := startJob(t, ts, tsvBody(t, 25, 60), "permutations=5&seed=1")
 	waitFor(t, ts, id, StateDone)
-	s.mu.Lock()
-	wantKey := s.jobs[id].key
-	s.mu.Unlock()
+	wantKey := s.api.Job(id).Key()
 	if wantKey == "" {
 		t.Fatal("job has no content key")
 	}
@@ -87,7 +85,7 @@ func TestEventsStream(t *testing.T) {
 	}
 
 	var names []string
-	var last statusResponse
+	var last Status
 	sc := bufio.NewScanner(stream.Body)
 	var name string
 	for sc.Scan() {

@@ -3,36 +3,45 @@
 // machine (with the coprocessor) owns the compute, clients submit
 // expression matrices and poll for networks.
 //
-// API:
+// The job API is written once (API, api.go) and served by two runners:
+// Server, which scans locally, and fleet.Coordinator, which fans each
+// scan out to Server workers. Both answer the same routes:
 //
 //	POST   /jobs            TSV expression matrix in the body; config
 //	                        via query params (permutations, alpha, dpi,
 //	                        dpitolerance, cmi, cmiratio, engine, seed,
 //	                        workers, nullpairs, ...).
-//	                        Returns 202 with {"id": ...}, 429 with a
-//	                        Retry-After header when the admission queue
-//	                        is full, 503 while draining for shutdown.
+//	                        Returns 202 with {"id": ..., "key": ...}, 429
+//	                        with Retry-After: 1 when at capacity, 503
+//	                        while draining for shutdown, 400 for a bad
+//	                        submission.
 //	GET    /jobs            list every registered job (oldest first).
 //	GET    /jobs/{id}       job status JSON: state, progress, and — when
 //	                        done — edges, threshold, timings.
 //	GET    /jobs/{id}/network  the edge TSV (409 until done).
+//	GET    /jobs/{id}/result   full-precision result JSON (409 until done).
+//	GET    /jobs/{id}/support  ensemble support TSV (409 until done, 404
+//	                        for a non-ensemble job).
+//	GET    /jobs/{id}/events   Server-Sent Events: progress, then one
+//	                        terminal event.
 //	DELETE /jobs/{id}       cancel a queued or running job.
 //	GET    /metrics         Prometheus text-format metrics: queue depth,
 //	                        jobs by state, per-phase pipeline seconds,
 //	                        kernel counters, job wall-time histogram.
 //	GET    /healthz         liveness.
 //
-// Admission is bounded: at most MaxRunning jobs execute concurrently
-// and at most MaxQueued more may wait; past that POST /jobs sheds load
-// with 429. Terminal jobs (done/failed/canceled) are evicted from the
-// registry after TTL, and the registry never holds more than MaxJobs
-// terminal entries, so memory stays bounded under sustained traffic.
+// An id that was never issued is 404; an evicted one is 410 with the
+// scan's content key. Terminal jobs are evicted from the registry after
+// TTL, and the registry never holds more than MaxJobs terminal entries,
+// so memory stays bounded under sustained traffic.
 //
-// When CheckpointDir is set, every (matrix, scan-config) submission is
-// assigned a deterministic checkpoint file there. Shutdown cancels the
-// running jobs, which flush their completed tiles to that file; a
-// restarted server resumes an identical resubmission from the
-// checkpoint instead of recomputing it.
+// Server admission is bounded: at most MaxRunning jobs execute
+// concurrently and at most MaxQueued more may wait; past that POST /jobs
+// sheds load with 429. When CheckpointDir is set, every (matrix,
+// scan-config) submission is assigned a deterministic checkpoint file
+// there. Shutdown cancels the running jobs, which flush their completed
+// tiles to that file; a restarted server resumes an identical
+// resubmission from the checkpoint instead of recomputing it.
 package server
 
 import (
@@ -40,81 +49,68 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/grn"
 	"repro/internal/metrics"
 )
 
-// JobState is a job's lifecycle phase.
-type JobState string
-
-// Job states.
-const (
-	StateQueued   JobState = "queued"
-	StateRunning  JobState = "running"
-	StateDone     JobState = "done"
-	StateFailed   JobState = "failed"
-	StateCanceled JobState = "canceled"
-)
-
-// terminal reports whether s is a final state.
-func (s JobState) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Terminal reports whether s is a final state — exported for the fleet
-// coordinator, which reuses JobState for its scan lifecycle.
-func (s JobState) Terminal() bool { return s.terminal() }
-
+// job is one local scan.
 type job struct {
 	id     string
 	ctx    context.Context
 	cancel context.CancelFunc
-	// key is the scan's content address (JobKey) — returned with 410
-	// Gone after the job is evicted so late pollers can resubmit and hit
-	// a cache or checkpoint.
-	key string
+	key    string
 	// ckptPath is the job's checkpoint file ("" when checkpointing is
 	// off or the engine does not support it).
-	ckptPath string
-
-	mu        sync.Mutex
-	state     JobState
-	err       string
-	progress  float64
-	result    *core.Result
+	ckptPath  string
 	geneNames []string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
+
+	mu       sync.Mutex
+	state    JobState
+	err      string
+	progress float64
+	result   *core.Result
+	created  time.Time
+	started  time.Time
+	finished time.Time
 }
 
-func (j *job) snapshotState() JobState {
+func (j *job) ID() string  { return j.id }
+func (j *job) Key() string { return j.key }
+func (j *job) Cancel()     { j.cancel() }
+
+func (j *job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return Status{
+		ID: j.id, Key: j.key, State: j.state, Progress: j.progress, Error: j.err,
+		CreatedAt: j.created, EndedAt: j.finished,
+	}
 }
 
-// Server is the HTTP handler plus its job registry. Create with New,
-// adjust the exported knobs before serving, mount via Handler.
+func (j *job) Done() (*core.Result, []string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateDone {
+		return nil, nil
+	}
+	return j.result, j.geneNames
+}
+
+// Server runs scans on this machine behind the job API. Create with
+// New, adjust the exported knobs before serving, mount via Handler.
 type Server struct {
-	// MaxBodyBytes bounds uploaded matrices (default 1 GiB).
-	MaxBodyBytes int64
+	Options
 	// MaxRunning is the number of jobs executing concurrently
 	// (default 1: the pipeline saturates the machine).
 	MaxRunning int
@@ -122,46 +118,24 @@ type Server struct {
 	// admission past MaxRunning+MaxQueued active jobs returns 429
 	// (default 8).
 	MaxQueued int
-	// TTL is how long terminal jobs stay queryable before eviction
-	// (default 15 minutes).
-	TTL time.Duration
-	// MaxJobs caps the registry size; when exceeded, the oldest
-	// terminal jobs are evicted early (default 256).
-	MaxJobs int
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// CheckpointDir, when non-empty, enables crash/shutdown-safe jobs:
 	// each submission checkpoints into a deterministic file under the
 	// directory, and an identical resubmission resumes from it.
 	CheckpointDir string
-	// Logger receives structured request and job-lifecycle records
-	// (default: discard).
-	Logger *slog.Logger
-	// Metrics is the exported registry (default: a fresh one).
-	Metrics *metrics.Registry
-	// EventPoll is the /jobs/{id}/events snapshot interval (default
-	// 50ms; tests shrink it).
-	EventPoll time.Duration
 
+	api      *API
 	initOnce sync.Once
 
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // job ids, oldest first
-	// gone maps evicted job ids to their content key (JobKey) so a late
-	// GET — an SSE reconnect racing TTL eviction — gets 410 Gone plus
-	// the key instead of an indistinguishable 404. Bounded FIFO.
-	gone      map[string]string
-	goneOrder []string
-	nextID    int64
-	draining  bool
-	sem       chan struct{}
-	wg        sync.WaitGroup
+	mu       sync.Mutex
+	live     map[string]*job // queued and running jobs
+	nextID   int64
+	draining bool
+	sem      chan struct{}
 	// now is the lifecycle clock (a test seam; defaults to time.Now).
 	now func() time.Time
 
 	// Pre-registered instruments (hot-path safe: no registry lookups).
-	mSubmitted, mRejected, mEvicted  *metrics.Counter
+	mSubmitted                       *metrics.Counter
 	mPairs, mSkipped, mHits, mMisses *metrics.Counter
 	mPermEvals                       *metrics.Counter
 	mRankFailures, mRecoveryRuns     *metrics.Counter
@@ -177,22 +151,20 @@ type Server struct {
 
 // New returns a server with default limits.
 func New() *Server {
-	return &Server{
-		MaxBodyBytes: 1 << 30,
-		MaxRunning:   1,
-		MaxQueued:    8,
-		TTL:          15 * time.Minute,
-		MaxJobs:      256,
-		RetryAfter:   time.Second,
-		jobs:         make(map[string]*job),
-		gone:         make(map[string]string),
-		now:          time.Now,
+	s := &Server{
+		MaxRunning: 1,
+		MaxQueued:  8,
+		live:       make(map[string]*job),
+		now:        time.Now,
 	}
+	s.api = NewAPI(s, &s.Options, "tinge_", func() time.Time { return s.now() })
+	return s
 }
 
 // init finalizes configuration on first use: the run semaphore is
 // sized, defaults are filled, and instruments are registered.
 func (s *Server) init() {
+	s.api.Init()
 	s.initOnce.Do(func() {
 		if s.MaxRunning < 1 {
 			s.MaxRunning = 1
@@ -201,19 +173,8 @@ func (s *Server) init() {
 			s.MaxQueued = 0
 		}
 		s.sem = make(chan struct{}, s.MaxRunning)
-		if s.EventPoll <= 0 {
-			s.EventPoll = 50 * time.Millisecond
-		}
-		if s.Logger == nil {
-			s.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-		}
-		if s.Metrics == nil {
-			s.Metrics = metrics.New()
-		}
 		r := s.Metrics
 		s.mSubmitted = r.Counter("tinge_jobs_submitted_total", "Jobs accepted for execution.", nil)
-		s.mRejected = r.Counter("tinge_jobs_rejected_total", "Submissions shed with 429 at the queue bound.", nil)
-		s.mEvicted = r.Counter("tinge_jobs_evicted_total", "Terminal jobs evicted from the registry.", nil)
 		s.mTerminal = make(map[JobState]*metrics.Counter)
 		for _, st := range []JobState{StateDone, StateFailed, StateCanceled} {
 			s.mTerminal[st] = r.Counter("tinge_jobs_finished_total",
@@ -240,85 +201,23 @@ func (s *Server) init() {
 		s.mEnsSupportEdges = r.Counter("tinge_ensemble_support_edges_total", "Support-matrix cells produced by completed ensemble jobs.", nil)
 		s.hJobSeconds = r.Histogram("tinge_job_seconds", "Job wall time from start to terminal state.",
 			nil, []float64{0.1, 0.5, 1, 5, 15, 60, 300, 1800, 7200})
-		for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-			st := st
-			r.GaugeFunc("tinge_jobs", "Registered jobs by state.",
-				metrics.Labels{"state": string(st)}, func() float64 { return float64(s.countState(st)) })
-		}
 		r.GaugeFunc("tinge_queue_capacity", "Admission bound: max queued plus running jobs.",
 			nil, func() float64 { return float64(s.MaxQueued + s.MaxRunning) })
 	})
 }
 
-// countState counts registered jobs in state st.
-func (s *Server) countState(st JobState) int {
-	s.mu.Lock()
-	js := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		js = append(js, j)
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, j := range js {
-		if j.snapshotState() == st {
-			n++
-		}
-	}
-	return n
-}
-
 // Handler returns the routed http.Handler.
 func (s *Server) Handler() http.Handler {
 	s.init()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	}))
-	mux.HandleFunc("POST /jobs", s.instrument("/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /jobs", s.instrument("/jobs", s.handleList))
-	mux.HandleFunc("GET /jobs/{id}", s.instrument("/jobs/{id}", s.handleStatus))
-	mux.HandleFunc("GET /jobs/{id}/network", s.instrument("/jobs/{id}/network", s.handleNetwork))
-	mux.HandleFunc("GET /jobs/{id}/result", s.instrument("/jobs/{id}/result", s.handleResult))
-	mux.HandleFunc("GET /jobs/{id}/support", s.instrument("/jobs/{id}/support", s.handleSupport))
-	mux.HandleFunc("GET /jobs/{id}/events", s.instrument("/jobs/{id}/events", s.handleEvents))
-	mux.HandleFunc("DELETE /jobs/{id}", s.instrument("/jobs/{id}", s.handleCancel))
-	mux.Handle("GET /metrics", s.Metrics.Handler())
-	return mux
+	return s.api.Handler()
 }
 
-// statusWriter captures the response code for logs and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying Flusher so SSE streaming works
-// through the instrumentation wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with structured request logging and a
-// per-route/status request counter.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.Metrics.Counter("tinge_http_requests_total", "HTTP requests by route and status.",
-			metrics.Labels{"route": route, "code": strconv.Itoa(sw.code)}).Inc()
-		s.Logger.Info("request",
-			"method", r.Method, "route", route, "path", r.URL.Path,
-			"status", sw.code, "dur_ms", float64(time.Since(start).Microseconds())/1000)
-	}
-}
+// Shutdown drains the server for a graceful exit: new submissions get
+// 503, queued jobs are canceled, and running jobs either drain to
+// completion (no CheckpointDir) or are canceled so they flush their
+// progress to their checkpoint files for resume after restart. It
+// returns once every job goroutine has exited, or with ctx's error.
+func (s *Server) Shutdown(ctx context.Context) error { return s.api.Shutdown(ctx) }
 
 // ParseConfig builds a core.Config from a request's query parameters.
 // It is exported because the fleet coordinator accepts the identical
@@ -551,27 +450,17 @@ func JobKey(body []byte, cfg core.Config) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	cfg, err := ParseConfig(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
-		return
-	}
+// Start parses and admits one submission and queues it for a run
+// slot. It implements Runner.
+func (s *Server) Start(body []byte, cfg core.Config) (Job, error) {
+	s.init()
 	data, err := expr.StreamTSV(bytes.NewReader(body))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("parse expression matrix: %v", err), http.StatusBadRequest)
-		return
+		return nil, fmt.Errorf("parse expression matrix: %w", err)
 	}
 	if data.MissingCount() > 0 {
 		data.ImputeRowMean()
 	}
-	// Every engine checkpoints now — the cluster engine also uses the
-	// same state for rank recovery.
 	key := JobKey(body, cfg)
 	// Partial ensemble runs (fleet bootstrap chunks) are not
 	// checkpointable — the bootstrap IS the checkpoint granularity.
@@ -584,53 +473,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx: ctx, cancel: cancel, key: key, ckptPath: cfg.CheckpointPath,
 		state: StateQueued, geneNames: data.Genes,
 	}
-
 	s.mu.Lock()
-	s.evictLocked()
 	if s.draining {
 		s.mu.Unlock()
 		cancel()
-		http.Error(w, "server is shutting down", http.StatusServiceUnavailable)
-		return
+		return nil, fmt.Errorf("server is %w", ErrDraining)
 	}
-	active := 0
-	for _, other := range s.jobs {
-		if !other.snapshotState().terminal() {
-			active++
-		}
-	}
-	if active >= s.MaxQueued+s.MaxRunning {
+	if active := len(s.live); active >= s.MaxQueued+s.MaxRunning {
 		s.mu.Unlock()
 		cancel()
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.RetryAfter+time.Second-1)/time.Second)))
-		http.Error(w, "job queue full", http.StatusTooManyRequests)
 		s.Logger.Warn("job rejected", "active", active, "bound", s.MaxQueued+s.MaxRunning)
-		return
+		return nil, ErrBusy
 	}
 	s.nextID++
 	j.id = fmt.Sprintf("job-%d", s.nextID)
 	j.created = s.now()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.wg.Add(1)
+	s.live[j.id] = j
+	s.api.Go(func() { s.run(j, data, cfg) })
 	s.mu.Unlock()
 
 	s.mSubmitted.Inc()
 	s.Logger.Info("job queued", "job", j.id,
 		"genes", len(data.Genes), "samples", data.Expr.Cols(), "checkpoint", j.ckptPath != "")
-	go s.run(j, data, cfg)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"id": j.id})
+	return j, nil
 }
 
 // run executes one job: wait for a run slot, infer, record the
-// terminal state. It owns the job's context (satellite fix: the cancel
-// func is always released) and exports the run's counters on success.
+// terminal state. It owns the job's context (the cancel func is always
+// released) and exports the run's counters on success.
 func (s *Server) run(j *job, data *expr.Dataset, cfg core.Config) {
-	defer s.wg.Done()
 	defer j.cancel()
 
 	select {
@@ -678,8 +549,13 @@ func (s *Server) run(j *job, data *expr.Dataset, cfg core.Config) {
 }
 
 // finish records a job's terminal state, exports its metrics, and
-// cleans up its checkpoint when the result is final.
+// cleans up its checkpoint when the result is final. The job frees its
+// admission slot before it reports the terminal state, so a client that
+// saw it end can submit again at once.
 func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
+	s.mu.Lock()
+	delete(s.live, j.id)
+	s.mu.Unlock()
 	now := s.now()
 	j.mu.Lock()
 	j.state = st
@@ -743,86 +619,19 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 	s.Logger.Info("job finished", attrs...)
 }
 
-// evictLocked drops terminal jobs older than TTL and, past MaxJobs,
-// the oldest terminal jobs regardless of age. Callers hold s.mu.
-func (s *Server) evictLocked() {
-	now := s.now()
-	evict := func(j *job) bool {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.state.terminal() && now.Sub(j.finished) > s.TTL
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if evict(s.jobs[id]) {
-			s.tombstoneLocked(id)
-			delete(s.jobs, id)
-			s.mEvicted.Inc()
-		} else {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
-	if s.MaxJobs > 0 && len(s.order) > s.MaxJobs {
-		kept = s.order[:0]
-		over := len(s.order) - s.MaxJobs
-		for _, id := range s.order {
-			if over > 0 && s.jobs[id].snapshotState().terminal() {
-				s.tombstoneLocked(id)
-				delete(s.jobs, id)
-				s.mEvicted.Inc()
-				over--
-			} else {
-				kept = append(kept, id)
-			}
-		}
-		s.order = kept
-	}
-}
-
-// tombstoneLocked remembers an evicted job's content key so late reads
-// get 410 Gone plus the key. The tombstone list is a FIFO capped at
-// MaxJobs entries (256 when unset) — it must stay bounded under the
-// same sustained traffic the registry cap exists for. Callers hold
-// s.mu.
-func (s *Server) tombstoneLocked(id string) {
-	j := s.jobs[id]
-	if j == nil {
-		return
-	}
-	limit := s.MaxJobs
-	if limit <= 0 {
-		limit = 256
-	}
-	if _, dup := s.gone[id]; !dup {
-		s.gone[id] = j.key
-		s.goneOrder = append(s.goneOrder, id)
-	}
-	for len(s.goneOrder) > limit {
-		delete(s.gone, s.goneOrder[0])
-		s.goneOrder = s.goneOrder[1:]
-	}
-}
-
-// Shutdown drains the server for a graceful exit: new submissions get
-// 503, queued jobs are canceled, and running jobs either drain to
-// completion (no CheckpointDir) or are canceled so they flush their
-// progress to their checkpoint files for resume after restart. It
-// returns once every job goroutine has exited, or with ctx's error.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.init()
+// Drain refuses new submissions, cancels queued jobs, and cancels
+// running ones when they can resume from a checkpoint. It implements
+// Runner.
+func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	var toCancel []*job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		switch j.snapshotState() {
-		case StateQueued:
+	for _, j := range s.live {
+		j.mu.Lock()
+		st := j.state
+		j.mu.Unlock()
+		if st == StateQueued || s.CheckpointDir != "" {
 			toCancel = append(toCancel, j)
-		case StateRunning:
-			if s.CheckpointDir != "" {
-				toCancel = append(toCancel, j)
-			}
 		}
 	}
 	s.mu.Unlock()
@@ -830,330 +639,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, j := range toCancel {
 		j.cancel()
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.Logger.Info("shutdown complete")
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// statusResponse is the job-status JSON shape.
-type statusResponse struct {
-	ID         string   `json:"id"`
-	State      JobState `json:"state"`
-	Progress   float64  `json:"progress"`
-	Error      string   `json:"error,omitempty"`
-	Created    string   `json:"created,omitempty"`
-	Finished   string   `json:"finished,omitempty"`
-	Edges      int      `json:"edges,omitempty"`
-	RawEdges   int      `json:"rawEdges,omitempty"`
-	Threshold  float64  `json:"threshold,omitempty"`
-	Evals      int64    `json:"evaluations,omitempty"`
-	PermEvals  int64    `json:"permEvaluations,omitempty"`
-	DPIRemoved int      `json:"dpiEdgesRemoved,omitempty"`
-	CMIRemoved int      `json:"cmiEdgesRemoved,omitempty"`
-	SimSecs    float64  `json:"simSeconds,omitempty"`
-	CkptRecov  int64    `json:"checkpointRecoveries,omitempty"`
-	Bootstraps int      `json:"bootstrapsRun,omitempty"`
-	Support    int      `json:"supportEdges,omitempty"`
-}
-
-// status snapshots a job into the response shape. Callers must not
-// hold j.mu.
-func (j *job) status() statusResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	resp := statusResponse{ID: j.id, State: j.state, Progress: j.progress, Error: j.err}
-	if !j.created.IsZero() {
-		resp.Created = j.created.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		resp.Finished = j.finished.UTC().Format(time.RFC3339Nano)
-	}
-	if j.result != nil {
-		resp.Edges = j.result.Network.Len()
-		resp.RawEdges = j.result.RawEdges
-		resp.Threshold = j.result.Threshold
-		resp.Evals = j.result.PairsEvaluated
-		resp.PermEvals = j.result.PermEvaluations
-		resp.DPIRemoved = j.result.DPIEdgesRemoved
-		resp.CMIRemoved = j.result.CMIEdgesRemoved
-		resp.SimSecs = j.result.SimSeconds
-		resp.CkptRecov = j.result.CheckpointRecoveries
-		resp.Bootstraps = j.result.EnsembleBootstrapsRun
-		if j.result.Ensemble != nil {
-			resp.Support = j.result.Ensemble.Len()
-		}
-	}
-	return resp
-}
-
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	s.evictLocked()
-	j := s.jobs[id]
-	key, evicted := s.gone[id]
-	s.mu.Unlock()
-	if j == nil {
-		if evicted {
-			// TTL eviction raced a late poll (typically an SSE reconnect):
-			// the job existed, its result is gone. 410 plus the content key
-			// lets the client resubmit the identical scan and hit the
-			// coordinator cache or checkpoint instead of starting blind.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusGone)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": "job evicted", "key": key,
-			})
-			return nil
-		}
-		http.Error(w, "unknown job", http.StatusNotFound)
-	}
-	return j
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	s.evictLocked()
-	js := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
-	out := make([]statusResponse, len(js))
-	for i, j := range js {
-		out[i] = j.status()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.status())
-}
-
-func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	var net *grn.Network
-	var names []string
-	if j.result != nil {
-		net = j.result.Network
-		names = j.geneNames
-	}
-	j.mu.Unlock()
-	if state != StateDone || net == nil {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	if err := net.WriteTSV(w, names); err != nil && !strings.Contains(err.Error(), "broken pipe") {
-		// Response already started; nothing useful to send.
-		return
-	}
-}
-
-// handleSupport serves the ensemble support-weighted edge table as TSV
-// (409 until done, 404 for jobs that did not run in ensemble mode).
-func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	var ens *grn.Ensemble
-	var names []string
-	if j.result != nil {
-		ens = j.result.Ensemble
-		names = j.geneNames
-	}
-	j.mu.Unlock()
-	if state != StateDone {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	if ens == nil {
-		http.Error(w, "job was not an ensemble run", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	if err := ens.WriteSupportTSV(w, names); err != nil && !strings.Contains(err.Error(), "broken pipe") {
-		return
-	}
-}
-
-// ResultResponse is the machine-readable scan result served at
-// GET /jobs/{id}/result. The network TSV rounds weights to 6
-// significant digits — fine for humans, fatal for the fleet
-// coordinator's bit-identity merge — while JSON float64s round-trip
-// exactly (Go emits the shortest representation that parses back to
-// the same bits). Edges are [i, j, weight] triples in sorted order.
-// The four permutation counters mirror core.Result's and are always 0:
-// the scan runs no per-pair permutation test. They stay in the wire
-// format so existing clients keep decoding it.
-type ResultResponse struct {
-	ID                   string       `json:"id"`
-	Key                  string       `json:"key"`
-	Threshold            float64      `json:"threshold"`
-	NullSize             int          `json:"nullSize"`
-	RawEdges             int          `json:"rawEdges"`
-	Edges                [][3]float64 `json:"edges"`
-	PairsEvaluated       int64        `json:"pairsEvaluated"`
-	PermEvaluations      int64        `json:"permEvaluations"`
-	PermutationsSkipped  int64        `json:"permutationsSkipped"`
-	PermCacheHits        int64        `json:"permCacheHits"`
-	PermCacheMisses      int64        `json:"permCacheMisses"`
-	CheckpointRecoveries int64        `json:"checkpointRecoveries"`
-	SpillReadRetries     int64        `json:"spillReadRetries"`
-
-	// Ensemble extensions. Full ensemble runs serve the support table as
-	// [i, j, support, weightSum] rows (weightSum, not the rounded mean:
-	// the fleet's bit-identity contract extends to float64 sums) plus the
-	// per-bootstrap thresholds; partial runs (bcount > 0) additionally
-	// serve each bootstrap's edge list so the coordinator can fold them
-	// in ascending bootstrap order.
-	EnsembleBootstraps int            `json:"ensembleBootstraps,omitempty"`
-	EnsembleThresholds []float64      `json:"ensembleThresholds,omitempty"`
-	Support            [][4]float64   `json:"support,omitempty"`
-	BootstrapEdges     [][][3]float64 `json:"bootstrapEdges,omitempty"`
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	res := j.result
-	j.mu.Unlock()
-	if state != StateDone || res == nil {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	out := ResultResponse{
-		ID:                   j.id,
-		Key:                  j.key,
-		Threshold:            res.Threshold,
-		NullSize:             res.NullSize,
-		RawEdges:             res.RawEdges,
-		Edges:                make([][3]float64, 0, res.Network.Len()),
-		PairsEvaluated:       res.PairsEvaluated,
-		PermEvaluations:      res.PermEvaluations,
-		PermutationsSkipped:  res.PermutationsSkipped,
-		PermCacheHits:        res.PermCacheHits,
-		PermCacheMisses:      res.PermCacheMisses,
-		CheckpointRecoveries: res.CheckpointRecoveries,
-		SpillReadRetries:     res.SpillReadRetries,
-	}
-	for _, e := range res.Network.Edges() {
-		out.Edges = append(out.Edges, [3]float64{float64(e.I), float64(e.J), e.Weight})
-	}
-	if res.Ensemble != nil {
-		out.EnsembleBootstraps = res.Ensemble.Bootstraps()
-		for _, se := range res.Ensemble.Edges() {
-			out.Support = append(out.Support, [4]float64{
-				float64(se.I), float64(se.J), float64(se.Support), se.WeightSum,
-			})
-		}
-	}
-	out.EnsembleThresholds = res.EnsembleThresholds
-	for _, net := range res.EnsembleNetworks {
-		edges := make([][3]float64, 0, net.Len())
-		for _, e := range net.Edges() {
-			edges = append(edges, [3]float64{float64(e.I), float64(e.J), e.Weight})
-		}
-		out.BootstrapEdges = append(out.BootstrapEdges, edges)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-// handleEvents streams job progress as Server-Sent Events: a
-// "progress" event whenever the status snapshot changes, then a single
-// terminal "done"/"failed"/"canceled" event, after which the stream
-// closes. Clients that would otherwise hammer GET /jobs/{id} hold one
-// connection instead; on disconnect they reconnect here (or fall back
-// to polling — a late reconnect after eviction gets 410 with the
-// content key).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	ticker := time.NewTicker(s.EventPoll)
-	defer ticker.Stop()
-	var last statusResponse
-	sent := false
-	for {
-		st := j.status()
-		if !sent || st != last {
-			name := "progress"
-			if st.State.terminal() {
-				name = string(st.State)
-			}
-			if err := writeEvent(w, name, st); err != nil {
-				return
-			}
-			fl.Flush()
-			last, sent = st, true
-		}
-		if st.State.terminal() {
-			return
-		}
-		select {
-		case <-ticker.C:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeEvent emits one SSE frame with a JSON payload.
-func writeEvent(w io.Writer, name string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-	return err
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.cancel()
-	s.Logger.Info("job cancel requested", "job", j.id)
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -53,7 +53,7 @@ func startJob(t *testing.T, ts *httptest.Server, body io.Reader, params string) 
 	return out["id"]
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) statusResponse {
+func getStatus(t *testing.T, ts *httptest.Server, id string) Status {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/jobs/" + id)
 	if err != nil {
@@ -63,14 +63,14 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) statusResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status code = %d", resp.StatusCode)
 	}
-	var st statusResponse
+	var st Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func waitFor(t *testing.T, ts *httptest.Server, id string, want JobState) statusResponse {
+func waitFor(t *testing.T, ts *httptest.Server, id string, want JobState) Status {
 	t.Helper()
 	// Generous: the permutation-heavy lifecycle jobs run ~10x slower
 	// under -race.
@@ -86,7 +86,7 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, want JobState) status
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
-	return statusResponse{}
+	return Status{}
 }
 
 func TestHealthz(t *testing.T) {
@@ -305,7 +305,6 @@ func TestBackpressure429(t *testing.T) {
 	s := New()
 	s.MaxRunning = 1
 	s.MaxQueued = 1
-	s.RetryAfter = 3 * time.Second
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -322,8 +321,8 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Capacity frees once jobs reach a terminal state.
@@ -396,7 +395,7 @@ func TestJobsList(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var list []statusResponse
+	var list []Status
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

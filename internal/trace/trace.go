@@ -22,21 +22,11 @@ type Event struct {
 	Dur    time.Duration
 }
 
-// CounterSample is one point on a per-worker counter track (Chrome
-// trace "C" events).
-type CounterSample struct {
-	Worker int
-	Name   string
-	At     time.Duration // offset from the recorder's epoch
-	Value  float64
-}
-
 // Recorder accumulates events. It is safe for concurrent use.
 type Recorder struct {
-	mu       sync.Mutex
-	epoch    time.Time
-	events   []Event
-	counters []CounterSample
+	mu     sync.Mutex
+	epoch  time.Time
+	events []Event
 }
 
 // NewRecorder starts a recorder whose epoch is now.
@@ -68,37 +58,11 @@ func (r *Recorder) Span(worker int, name string) func() {
 	}
 }
 
-// Counter samples a monotonic (or free-form) per-worker counter at the
-// current time. Counter samples live on a separate track and do not
-// affect Len or Utilization.
-func (r *Recorder) Counter(worker int, name string, value float64) {
-	at := time.Since(r.epoch)
-	r.mu.Lock()
-	r.counters = append(r.counters, CounterSample{
-		Worker: worker,
-		Name:   name,
-		At:     at,
-		Value:  value,
-	})
-	r.mu.Unlock()
-}
-
-// Len returns the number of recorded span events (counter samples are
-// not included).
+// Len returns the number of recorded span events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// Counters returns a copy of the recorded counter samples sorted by
-// sample time.
-func (r *Recorder) Counters() []CounterSample {
-	r.mu.Lock()
-	out := append([]CounterSample(nil), r.counters...)
-	r.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].At < out[b].At })
-	return out
 }
 
 // Events returns a copy of the recorded events sorted by start time.
@@ -110,24 +74,22 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// chromeEvent is the trace-event JSON shape ("X" = complete event,
-// "C" = counter sample; timestamps in microseconds).
+// chromeEvent is the trace-event JSON shape ("X" = complete event;
+// timestamps in microseconds).
 type chromeEvent struct {
-	Name string             `json:"name"`
-	Ph   string             `json:"ph"`
-	Ts   float64            `json:"ts"`
-	Dur  float64            `json:"dur,omitempty"`
-	Pid  int                `json:"pid"`
-	Tid  int                `json:"tid"`
-	Args map[string]float64 `json:"args,omitempty"`
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur,omitempty"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
 }
 
-// WriteChromeTrace emits the spans (as "X" complete events) and counter
-// samples (as "C" counter events) as a Chrome trace-event JSON array.
+// WriteChromeTrace emits the spans as "X" complete events in a Chrome
+// trace-event JSON array.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.Events()
-	counters := r.Counters()
-	out := make([]chromeEvent, 0, len(events)+len(counters))
+	out := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
 		out = append(out, chromeEvent{
 			Name: e.Name,
@@ -136,16 +98,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Dur:  float64(e.Dur.Nanoseconds()) / 1e3,
 			Pid:  1,
 			Tid:  e.Worker,
-		})
-	}
-	for _, c := range counters {
-		out = append(out, chromeEvent{
-			Name: c.Name,
-			Ph:   "C",
-			Ts:   float64(c.At.Nanoseconds()) / 1e3,
-			Pid:  1,
-			Tid:  c.Worker,
-			Args: map[string]float64{"value": c.Value},
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -124,49 +124,3 @@ func TestUtilizationZeroSpan(t *testing.T) {
 		t.Fatalf("zero-span utilization = %v", u)
 	}
 }
-
-func TestCounterTrack(t *testing.T) {
-	r := NewRecorder()
-	now := time.Now()
-	r.Record(0, "tile-0", now, time.Millisecond)
-	r.Counter(0, "perm_skipped", 12)
-	r.Counter(1, "permcache_hits", 30)
-	// Counter samples live on their own track.
-	if r.Len() != 1 {
-		t.Fatalf("Len counts counters: %d, want 1 span", r.Len())
-	}
-	cs := r.Counters()
-	if len(cs) != 2 {
-		t.Fatalf("counters = %d, want 2", len(cs))
-	}
-	if cs[0].Name != "perm_skipped" || cs[0].Value != 12 || cs[0].Worker != 0 {
-		t.Fatalf("sample 0 = %+v", cs[0])
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("chrome events = %d, want 3", len(out))
-	}
-	nCounter := 0
-	for _, e := range out {
-		if e["ph"] == "C" {
-			nCounter++
-			args, ok := e["args"].(map[string]any)
-			if !ok {
-				t.Fatalf("counter event without args: %v", e)
-			}
-			if _, ok := args["value"].(float64); !ok {
-				t.Fatalf("counter args missing value: %v", e)
-			}
-		}
-	}
-	if nCounter != 2 {
-		t.Fatalf("counter chrome events = %d, want 2", nCounter)
-	}
-}
